@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_DEGREE = 5
-
-SYMPLECTIC_SIGN = 1
 
 
 def letter_name(genus: int, letter: int) -> str:
@@ -36,6 +34,23 @@ def letter_index(genus: int, name: str) -> int:
     if not 1 <= i <= genus:
         raise ValueError(f"letter {name!r} out of range for genus {genus}")
     return i - 1 if kind == "u" else genus + i - 1
+
+
+def signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Render (coefficient, monomial) pairs as ``a - 1/2 b + 3``.
+
+    Unit coefficients are dropped, an empty monomial prints as the bare
+    scalar, and the empty sum prints as ``0``.
+    """
+    text = ""
+    for coeff, mono in terms:
+        a = abs(coeff)
+        body = str(a) if not mono else mono if a == 1 else f"{a} {mono}"
+        if not text:
+            text = "-" + body if coeff < 0 else body
+        else:
+            text += f" - {body}" if coeff < 0 else f" + {body}"
+    return text or "0"
 
 
 def _pack(word: Sequence[int], nletters: int) -> int:
@@ -202,10 +217,6 @@ class TruncatedTensor:
         t._normalize()
         return t
 
-    def degree_one_vector(self) -> list[Fraction]:
-        return [Fraction(self.comps[1].get(i, 0), self.den)
-                for i in range(self.nletters)]
-
     # -- ring operations --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -293,31 +304,9 @@ class TruncatedTensor:
 
     def pretty(self) -> str:
         """Plain word-by-word rendering, e.g. ``1/2 u1.v1 - 1/2 v1.u1``."""
-        parts = []
-        for word, coeff in self.terms():
-            if not word:
-                mono = "1"
-            else:
-                mono = ".".join(letter_name(self.genus, c) for c in word)
-            parts.append((coeff, mono))
-        if not parts:
-            return "0"
-        bits = []
-        for coeff, mono in parts:
-            sign = "-" if coeff < 0 else "+"
-            a = abs(coeff)
-            if mono == "1":
-                body = str(a)
-            elif a == 1:
-                body = mono
-            else:
-                body = f"{a} {mono}"
-            bits.append((sign, body))
-        first_sign, first_body = bits[0]
-        text = first_body if first_sign == "+" else "-" + first_body
-        for sign, body in bits[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(
+            (coeff, ".".join(letter_name(self.genus, c) for c in word))
+            for word, coeff in self.terms())
 
 
 # -- Lie structure --------------------------------------------------------
@@ -438,18 +427,7 @@ def lie_pretty(t: TruncatedTensor) -> str:
             bits.append((c, _bracket_string(t.genus, lw)))
         if not rem.is_zero():  # pragma: no cover - Lyndon brackets span
             return t.pretty()
-    if not bits:
-        return "0"
-    text = ""
-    for coeff, mono in bits:
-        sign = "-" if coeff < 0 else "+"
-        a = abs(coeff)
-        body = mono if a == 1 else f"{a} {mono}"
-        if not text:
-            text = body if sign == "+" else "-" + body
-        else:
-            text += f" {sign} {body}"
-    return text
+    return signed_sum(bits)
 
 
 # -- exponential / logarithm / Hausdorff ----------------------------------
@@ -494,7 +472,7 @@ def hausdorff_tail(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
 
 
 def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int],
-        sign: int = SYMPLECTIC_SIGN) -> Fraction:
+        sign: int = 1) -> Fraction:
     """Symplectic pairing of two coordinate vectors in the letter basis."""
     if len(a) != len(b) or len(a) % 2:
         raise ValueError("need two vectors of equal even length")
@@ -503,6 +481,37 @@ def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int],
     for i in range(g):
         total += Fraction(a[i]) * Fraction(b[g + i]) - Fraction(a[g + i]) * Fraction(b[i])
     return sign * total
+
+
+def row_reduce(rows: Sequence[Sequence[Fraction | int]]
+               ) -> tuple[list[list[Fraction | int]], list[int]]:
+    """Exact Gauss-Jordan elimination.
+
+    Returns the reduced rows and the pivot column of each of the first
+    len(pivots) rows.  Pivot entries are left unscaled; every other entry
+    of a pivot column is cleared, and entries no step changes keep their
+    input type.  The pivot columns are the first-come greedy choice of
+    independent columns, and their number is the rank.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        # prow is zero left of col, so only its nonzero entries from col
+        # on change a row
+        p, tail = prow[col], prow[col:]
+        for row in rows:
+            if row is not prow and row[col]:
+                f = Fraction(row[col]) / p
+                row[col:] = [x - f * y if y else x
+                             for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return rows, pivots
 
 
 def symplectic_form(genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
@@ -542,8 +551,8 @@ def matrix_letter_images(genus: int, matrix: Sequence[Sequence[int]],
     return [TruncatedTensor.from_vector(genus, row, max_degree) for row in matrix]
 
 
-def is_symplectic_matrix(genus: int, matrix: Sequence[Sequence[int]],
-                         sign: int = SYMPLECTIC_SIGN) -> bool:
+def is_symplectic_matrix(genus: int,
+                         matrix: Sequence[Sequence[int]]) -> bool:
     """Whether row-images preserve the pairing ``dot``."""
     n = 2 * genus
     if len(matrix) != n or any(len(r) != n for r in matrix):
@@ -551,7 +560,7 @@ def is_symplectic_matrix(genus: int, matrix: Sequence[Sequence[int]],
     basis = [[Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if dot(matrix[i], matrix[j], sign) != dot(basis[i], basis[j], sign):
+            if dot(matrix[i], matrix[j]) != dot(basis[i], basis[j]):
                 return False
     return True
 

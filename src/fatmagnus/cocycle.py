@@ -19,6 +19,7 @@ from .algebra import (
     is_lie,
     letter_name,
     lie_pretty,
+    signed_sum,
 )
 from .fatgraph import MovePath, WhiteheadMove
 from .johnson import dual_vector, tau_move
@@ -157,22 +158,9 @@ class Lambda3:
         yield from sorted(self.coeffs.items())
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j, k), c in self.terms():
-            mono = "^".join(letter_name(self.genus, x) for x in (i, j, k))
-            if c == 1:
-                head = mono
-            elif c == -1:
-                head = f"-{mono}"
-            else:
-                head = f"{c} {mono}"
-            parts.append(head)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_sum(
+            (c, "^".join(letter_name(self.genus, x) for x in triple))
+            for triple, c in self.terms())
 
     def __repr__(self) -> str:
         return f"Lambda3(genus={self.genus}, {self})"
@@ -359,9 +347,6 @@ class H2Element:
         return (self.genus == other.genus
                 and self.components == other.components)
 
-    def __hash__(self):
-        return hash((self.genus, self.components))
-
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.components)
 
@@ -421,23 +406,10 @@ class H2Element:
         return [(c, a, b) for (a, b), c in sorted(acc.items())]
 
     def symbol_form(self) -> str:
-        terms = self.symbol_terms()
-        if not terms:
-            return "0"
-        parts = []
-        for c, (p, q), (r, s) in terms:
-            sym = (f"[{letter_name(self.genus, p)},{letter_name(self.genus, q)}]"
-                   f"<->[{letter_name(self.genus, r)},{letter_name(self.genus, s)}]")
-            if c == 1:
-                parts.append(sym)
-            elif c == -1:
-                parts.append(f"-{sym}")
-            else:
-                parts.append(f"{c} {sym}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        name = [letter_name(self.genus, x) for x in range(2 * self.genus)]
+        return signed_sum(
+            (c, f"[{name[p]},{name[q]}]<->[{name[r]},{name[s]}]")
+            for c, (p, q), (r, s) in self.symbol_terms())
 
     def __str__(self) -> str:
         live = [f"{letter_name(self.genus, j)}: {lie_pretty(t)}"

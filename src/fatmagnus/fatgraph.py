@@ -4,6 +4,11 @@ Half-edges are integers. An oriented edge is represented by the half-edge at
 its head, the vertex it points into; the reverse orientation is the paired
 half. The single boundary cycle is the orbit of a fixed successor permutation
 on oriented edges, normalized to start at the tail.
+
+Two conventions fix the expansion.  The boundary successor of an oriented
+edge is ``next_`` applied to its reverse, so the successor of the reversed
+tail is the tail itself and the cycle runs tail ... reversed-tail.  Vertex
+relations multiply edge markings in the reverse of the stored cyclic order.
 """
 
 from __future__ import annotations
@@ -12,18 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import SYMPLECTIC_SIGN, dot
-
-# Boundary successor of an oriented edge: rotate the paired half by
-# next**_ROTATION at its vertex. With this choice the successor of the
-# reversed tail is the tail itself, so the cycle runs tail ... reversed-tail.
-_ROTATION = 1
-
-# Vertex relations multiply edge markings in this orientation of the stored
-# cyclic order (False: as stored; True: reversed).  Calibrated jointly with
-# _ROTATION, _CHAIN_BITS and the marking signs against the degree-4
-# expansion series of the canonical graph at genus 1..3.
-_VERTEX_REVERSED = True
+from .algebra import dot, row_reduce
 
 Word = tuple[int, ...]
 
@@ -34,15 +28,10 @@ Word = tuple[int, ...]
 
 
 def w_reduce(word: Iterable[int]) -> Word:
-    out: list[int] = []
-    for c in word:
-        if c == 0:
-            raise ValueError("0 is not a letter")
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
+    word = tuple(word)
+    if 0 in word:
+        raise ValueError("0 is not a letter")
+    return w_mul(word)
 
 
 def w_mul(*words: Iterable[int]) -> Word:
@@ -73,15 +62,8 @@ def w_abelianize(word: Sequence[int], rank: int) -> tuple[int, ...]:
 
 def w_endo(images: Sequence[Word], word: Sequence[int]) -> Word:
     """Apply the endomorphism generator k -> images[k-1] and reduce."""
-    out: list[int] = []
-    for c in word:
-        img = images[c - 1] if c > 0 else w_inv(images[-c - 1])
-        for d in img:
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-    return tuple(out)
+    return w_mul(*(images[c - 1] if c > 0 else w_inv(images[-c - 1])
+                   for c in word))
 
 
 def boundary_word(genus: int) -> Word:
@@ -141,7 +123,6 @@ class Fatgraph:
             for j, h in enumerate(v):
                 self.next_[h] = v[(j + 1) % len(v)]
                 self.vertex_of[h] = vi
-        self.prev_ = {b: a for a, b in self.next_.items()}
 
         if tail not in seen:
             raise ValueError("tail is not a half-edge of the graph")
@@ -178,8 +159,7 @@ class Fatgraph:
 
     def succ(self, h: int) -> int:
         """Boundary-cycle successor of the oriented edge with head h."""
-        step = self.next_ if _ROTATION == 1 else self.prev_
-        return step[self.pair_[h]]
+        return self.next_[self.pair_[h]]
 
     def _trace_boundary(self) -> list[int]:
         cycle = [self.tail]
@@ -293,14 +273,10 @@ def _as_hvec(v: Sequence, genus: int) -> HVec:
     return vec
 
 
-def _vertex_order(cycle: Sequence[int]) -> tuple[int, ...]:
-    return tuple(reversed(cycle)) if _VERTEX_REVERSED else tuple(cycle)
-
-
 def solve_vertex_word(order: Sequence[int], known: Mapping[int, Word],
                       unknown: int) -> Word:
     """Solve the cyclic product relation for one missing edge word."""
-    order = _vertex_order(order)
+    order = tuple(reversed(order))
     p = order.index(unknown)
     rest = [known[order[(p + j) % len(order)]] for j in range(1, len(order))]
     return w_inv(w_mul(*rest)) if rest else ()
@@ -312,6 +288,9 @@ class MarkedFatgraph:
     h maps every half-edge (as an oriented edge) to its homology vector;
     pi, when given, maps every half-edge to a reduced free-group word.
     Validation is eager and raises ValueError with a diagnostic.
+    edge_names maps construction names to edge ids where a constructor
+    gives them; magnus_tables holds the expansion tables built for this
+    graph, by degree (see magnus.get_table).
     """
 
     def __init__(self, graph: Fatgraph, h: Mapping[int, Sequence],
@@ -323,13 +302,12 @@ class MarkedFatgraph:
         self.pi: Optional[dict[int, Word]] = None
         if pi is not None:
             self.pi = {half: w_reduce(word) for half, word in pi.items()}
+        self.edge_names: dict[str, int] = {}
+        self.magnus_tables: dict[int, object] = {}
         self._validate()
 
     def genus(self) -> int:
         return self.graph.genus()
-
-    def h_of(self, half: int) -> HVec:
-        return self.h[half]
 
     def pi_of(self, half: int) -> Word:
         if self.pi is None:
@@ -376,44 +354,26 @@ class MarkedFatgraph:
         for vi, v in enumerate(G.vertices):
             if vi == tail_v:
                 continue
-            if w_mul(*(self.pi[half] for half in _vertex_order(v))):
+            if w_mul(*(self.pi[half] for half in reversed(v))):
                 raise ValueError(f"pi-marking product at vertex {v} is not 1")
         if self.pi[G.pair_[G.tail]] != boundary_word(g):
             raise ValueError(
                 "pi-marking of the reversed tail is not the boundary word")
 
     def _h_rank(self) -> int:
-        rows = [list(self.h[half]) for half in sorted(self.graph.half_edges)]
-        rank, ncols = 0, 2 * self.graph.genus()
-        for col in range(ncols):
-            piv = next((r for r in range(rank, len(rows))
-                        if rows[r][col] != 0), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            prow = rows[rank]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != 0:
-                    f = rows[r][col] / prow[col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
-            rank += 1
-        return rank
+        _, pivots = row_reduce(
+            [self.h[half] for half in sorted(self.graph.half_edges)])
+        return len(pivots)
 
-    def is_geometric(self, sign: int = SYMPLECTIC_SIGN) -> bool:
+    def is_geometric(self) -> bool:
         """Whether the boundary linking of every edge pair matches the
         symplectic pairing of the H-marking vectors."""
         halves = sorted(self.graph.half_edges)
         for i, a in enumerate(halves):
             for b in halves[i + 1:]:
-                if self.graph.skew_pair(a, b) != dot(self.h[a], self.h[b],
-                                                     sign):
+                if self.graph.skew_pair(a, b) != dot(self.h[a], self.h[b]):
                     return False
         return True
-
-    def with_h(self, h: Mapping[int, Sequence],
-               pi: Optional[Mapping[int, Sequence[int]]] = None
-               ) -> "MarkedFatgraph":
-        return MarkedFatgraph(self.graph, h, pi)
 
     def apply_basis_change(self, matrix: Sequence[Sequence]) -> "MarkedFatgraph":
         """Replace every marking vector v by v . matrix (rows are the images
@@ -559,15 +519,7 @@ def pi_verify(path: MovePath, images: Sequence[Word]) -> bool:
 
 # -- the canonical chain-of-handles graph ----------------------------------
 
-# cyclic-order orientation per vertex type, frozen by the calibration
-# search against the degree-4 expansion series and geometricity
-_CHAIN_BITS = {"S": 0, "X": 0, "A": 0, "B": 0}
-_MARK_SWAP = False
-_MARK_SIGNS = (1, 1)
-
-
-def _build_chain(g: int, bits: Mapping[str, int], mark_swap: bool,
-                 mark_signs: tuple[int, int]):
+def _build_chain(g: int) -> tuple[Fatgraph, dict[str, int]]:
     """Construct the genus-g chain graph; returns (graph, edge name map).
 
     Handle blocks hang left to right off a spine of junction vertices, each
@@ -592,53 +544,44 @@ def _build_chain(g: int, bits: Mapping[str, int], mark_swap: bool,
 
     vertices: list[tuple[int, ...]] = []
 
-    def vtx(kind: str, *halves: int) -> None:
-        order = tuple(reversed(halves)) if bits[kind] else tuple(halves)
-        vertices.append(order)
-
     def block(i: int, entry: int) -> None:
         xp, pa = edge(f"p{i}")
         xq, qb = edge(f"q{i}")
         ua, ub = edge(f"u{i}")
         va, vb = edge(f"v{i}")
-        vtx("X", entry, xp, xq)
-        vtx("A", pa, ua, va)
-        vtx("B", ub, vb, qb)
+        vertices.append((entry, xp, xq))
+        vertices.append((pa, ua, va))
+        vertices.append((ub, vb, qb))
 
     t0, t1 = edge("t")
     along = t1
     for i in range(1, g):
         cs, cx = edge(f"c{i}")
         ss, sx = edge(f"s{g - i}")
-        vtx("S", along, cs, ss)
+        vertices.append((along, cs, ss))
         block(i, cx)
         along = sx
     block(g, along)
     vertices.append((t0,))
 
     graph = Fatgraph(vertices, edges, tail=t0)
-    return graph, names, mark_swap, mark_signs
+    return graph, names
 
 
-def _solve_markings(graph: Fatgraph, names: Mapping[str, int], g: int,
-                    mark_swap: bool, mark_signs: tuple[int, int]
-                    ) -> dict[int, Word]:
+def _solve_markings(graph: Fatgraph, names: Mapping[str, int],
+                    g: int) -> dict[int, Word]:
     """Assign generators to the handle edges and solve all other words from
     the vertex relations, working upward from the leaves of the spanning
     tree of non-handle edges."""
     pi: dict[int, Word] = {}
     handle_edges = set()
     for i in range(1, g + 1):
-        gen_u, gen_v = i, g + i
-        if mark_swap:
-            gen_u, gen_v = gen_v, gen_u
-        for sym, gen, sgn in (("u", gen_u, mark_signs[0]),
-                              ("v", gen_v, mark_signs[1])):
+        for sym, gen in (("u", i), ("v", g + i)):
             eid = names[f"{sym}{i}"]
             handle_edges.add(eid)
             head = graph.oriented(eid)
-            pi[head] = (sgn * gen,)
-            pi[graph.pair_[head]] = (-sgn * gen,)
+            pi[head] = (gen,)
+            pi[graph.pair_[head]] = (-gen,)
 
     # spanning tree = all non-handle edges; BFS depth from the tail vertex
     tail_v = graph.vertex_of[graph.tail]
@@ -676,15 +619,13 @@ def symplectic_graph(g: int) -> MarkedFatgraph:
     the tail at the left end, marked by the standard symplectic generators."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    graph, names, swap, signs = _build_chain(
-        g, _CHAIN_BITS, _MARK_SWAP, _MARK_SIGNS)
-    pi = _solve_markings(graph, names, g, swap, signs)
+    graph, names = _build_chain(g)
+    pi = _solve_markings(graph, names, g)
     h = {half: w_abelianize(word, 2 * g) for half, word in pi.items()}
     mg = MarkedFatgraph(graph, h, pi)
-    mg.edge_names = dict(names)
+    mg.edge_names = names
     return mg
 
 
 def symplectic_edge_names(g: int) -> dict[str, int]:
-    _, names, _, _ = _build_chain(g, _CHAIN_BITS, _MARK_SWAP, _MARK_SIGNS)
-    return names
+    return _build_chain(g)[1]

@@ -16,11 +16,11 @@ from typing import Mapping, Optional, Sequence
 
 from .algebra import (
     IAMap,
-    SYMPLECTIC_SIGN,
     TruncatedTensor,
     dot,
     hausdorff_tail,
     is_lie,
+    row_reduce,
 )
 from .fatgraph import MarkedFatgraph, MovePath, WhiteheadMove
 from .magnus import get_table
@@ -36,8 +36,7 @@ def _check_degree(m: int) -> None:
 # -- Poincare duality ------------------------------------------------------
 
 
-def dual_vector(genus: int, letter: int,
-                sign: int = SYMPLECTIC_SIGN) -> tuple[int, ...]:
+def dual_vector(genus: int, letter: int) -> tuple[int, ...]:
     """The homology vector whose pairing reads off one letter coefficient.
 
     dot(dual_vector(g, j), x) == x[j] for every vector x.  This function
@@ -46,9 +45,9 @@ def dual_vector(genus: int, letter: int,
     """
     vec = [0] * (2 * genus)
     if letter < genus:
-        vec[genus + letter] = -sign
+        vec[genus + letter] = -1
     else:
-        vec[letter - genus] = sign
+        vec[letter - genus] = 1
     return tuple(vec)
 
 
@@ -339,54 +338,20 @@ def tau3_closed(move: WhiteheadMove) -> MoveTau:
 # -- table-comparison solver -----------------------------------------------
 
 
-def _invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [r[n:] for r in aug]
-
-
 def _basis_halves(mg: MarkedFatgraph, avoid_edges) -> list[int]:
-    """Half-edges avoiding the given edges whose markings form a basis."""
-    g = mg.genus()
-    chosen: list[int] = []
-    rows: list[list[Fraction]] = []
-    for h in sorted(mg.graph.half_edges):
-        if mg.graph.edge_of[h] in avoid_edges:
-            continue
-        cand = [Fraction(c) for c in mg.h[h]]
-        work = [list(r) for r in rows] + [list(cand)]
-        # incremental rank check by elimination
-        rank = 0
-        for col in range(2 * g):
-            piv = next((r for r in range(rank, len(work)) if work[r][col]),
-                       None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            prow = work[rank]
-            for r in range(len(work)):
-                if r != rank and work[r][col]:
-                    f = work[r][col] / prow[col]
-                    work[r] = [x - f * y for x, y in zip(work[r], prow)]
-            rank += 1
-        if rank > len(rows):
-            chosen.append(h)
-            rows.append(cand)
-        if len(chosen) == 2 * g:
-            return chosen
-    raise ValueError("markings of the shared edges do not span the homology")
+    """Half-edges avoiding the given edges whose markings form a basis.
+
+    The first-come greedy choice in sorted order: the pivot columns of
+    the matrix whose columns are the candidates' markings.
+    """
+    cands = [h for h in sorted(mg.graph.half_edges)
+             if mg.graph.edge_of[h] not in avoid_edges]
+    n = 2 * mg.genus()
+    _, pivots = row_reduce([[mg.h[h][i] for h in cands] for i in range(n)])
+    if len(pivots) < n:
+        raise ValueError(
+            "markings of the shared edges do not span the homology")
+    return [cands[c] for c in pivots]
 
 
 def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
@@ -404,8 +369,10 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
     g = source.genus()
     ts, tt = get_table(source, n), get_table(target, n)
     basis = _basis_halves(source, set(avoid_edges))
-    mat = [[Fraction(source.h[x][j]) for j in range(2 * g)] for x in basis]
-    inv = _invert_matrix(mat)
+    # invert the basis matrix by reducing [A | I]
+    eye = [[int(k == j) for j in range(2 * g)] for k in range(2 * g)]
+    rows, _ = row_reduce([list(source.h[x]) + e for x, e in zip(basis, eye)])
+    inv = [[y / r[j] for y in r[2 * g:]] for j, r in enumerate(rows)]
     ls = [ts.ell(x) for x in basis]
     lt = [tt.ell(x) for x in basis]
     corr = [TruncatedTensor(g, n) for _ in range(2 * g)]

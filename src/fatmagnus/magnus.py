@@ -10,24 +10,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence
-from weakref import WeakKeyDictionary
 
 from .algebra import (
     DEFAULT_MAX_DEGREE,
     TruncatedTensor,
     exp_t,
-    is_lie,
     lie_pretty,
     log_t,
 )
 from .fatgraph import MarkedFatgraph, WhiteheadMove
 
-_tables: "WeakKeyDictionary[MarkedFatgraph, dict]" = WeakKeyDictionary()
-
 
 def get_table(mg: MarkedFatgraph,
               max_degree: int = DEFAULT_MAX_DEGREE) -> "MagnusTable":
-    per = _tables.setdefault(mg, {})
+    """The table of mg through max_degree, built once and kept on mg."""
+    per = mg.magnus_tables
     if max_degree not in per:
         per[max_degree] = MagnusTable(mg, max_degree)
     return per[max_degree]
@@ -87,9 +84,6 @@ class MagnusTable:
         if half not in self._theta:
             self._theta[half] = exp_t(self._ell[half])
         return self._theta[half].copy()
-
-    def ell_graded(self, half: int, degree: int) -> TruncatedTensor:
-        return self._ell[half].graded(degree)
 
     # -- integral tables ---------------------------------------------------
 
@@ -229,13 +223,10 @@ def dump_table(mg: MarkedFatgraph,
                max_degree: int = DEFAULT_MAX_DEGREE) -> str:
     """Readable listing of the expansion of every edge, one per line."""
     table = get_table(mg, max_degree)
-    names = getattr(mg, "edge_names", {})
-    by_id = {eid: name for name, eid in names.items()}
+    by_id = {eid: name for name, eid in mg.edge_names.items()}
     lines = []
     for eid in sorted(mg.graph.edges):
         head = mg.graph.oriented(eid)
         label = by_id.get(eid, str(eid))
-        value = table.ell(head)
-        assert is_lie(value)
-        lines.append(f"{label}: {lie_pretty(value)}")
+        lines.append(f"{label}: {lie_pretty(table.ell(head))}")
     return "\n".join(lines)

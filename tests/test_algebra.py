@@ -21,6 +21,7 @@ from fatmagnus.algebra import (
     log_t,
     matrix_letter_images,
     right_bracketing,
+    row_reduce,
     star,
     symplectic_form,
 )
@@ -181,6 +182,15 @@ def test_lie_pretty_examples():
     assert "u1.v1" in lie_pretty(u * v)
 
 
+def test_pretty_prints_scalar_terms_bare():
+    one = TruncatedTensor.unit(1)
+    u, _ = letters(1)
+    assert one.scaled(2).pretty() == "2"
+    assert (one - u).pretty() == "1 - u1"
+    assert (-one).pretty() == "-1"
+    assert (u.scaled(Fraction(-1, 2)) + one).pretty() == "1 - 1/2 u1"
+
+
 @given(lie_tensors(genus=2))
 def test_lie_pretty_parses_back(t):
     # the rendering is a faithful linear combination of bracketings
@@ -326,3 +336,33 @@ def test_ia_top_degree_words_pass_through():
     m = IAMap(1, [u.bracket(v).truncated(N), TruncatedTensor(1, N)], N)
     w = TruncatedTensor.from_word(1, (0, 0, 1), 1, N)
     assert m.apply(w) == w
+
+
+# -- exact elimination -----------------------------------------------------
+
+
+def test_row_reduce_rank_and_first_come_pivots():
+    # the second column is twice the first, so the pivots skip it
+    rows = [[1, 2, 0], [2, 4, 1], [3, 6, 1]]
+    reduced, pivots = row_reduce(rows)
+    assert pivots == [0, 2]
+    assert rows == [[1, 2, 0], [2, 4, 1], [3, 6, 1]]
+    for r, col in enumerate(pivots):
+        assert reduced[r][col] != 0
+        assert all(reduced[k][col] == 0 for k in range(len(rows)) if k != r)
+    assert all(x == 0 for x in reduced[2])
+    assert row_reduce([[0, 0], [0, 0]])[1] == []
+    assert row_reduce([])[1] == []
+
+
+def test_row_reduce_inverts_through_the_augmented_matrix():
+    a = [[2, 1, 0, 3], [1, 1, 0, 0], [0, 4, 1, 1], [1, 0, 2, 5]]
+    n = len(a)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots = row_reduce([r + e for r, e in zip(a, eye)])
+    assert pivots == list(range(n))
+    inv = [[Fraction(y) / r[i] for y in r[n:]] for i, r in enumerate(reduced)]
+    prod = [[sum(a[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    assert prod == eye
+    assert any(x.denominator != 1 for r in inv for x in r)

@@ -213,6 +213,13 @@ def test_target_space_validation():
         H2Element(bad)
 
 
+def test_target_space_values_are_unhashable():
+    # equality compares mutable tensors, so neither type offers a hash
+    for value in (H2Element.zero(2), j2_identity(2)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_raw_degree_two_values_are_usually_not_symmetrized():
     # the projection moves raw move values; fixedness only appears
     # after projecting

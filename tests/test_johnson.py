@@ -6,6 +6,7 @@ sign here is anchored; the explicit low-degree bracket formulas are
 independent transcriptions, checked as regressions against both.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from fatmagnus.johnson import (
     MoveTau,
     SECTOR_LABELS,
     SectorContribution,
+    _basis_halves,
     bracket_map,
     derive,
     dual_vector,
@@ -557,3 +559,38 @@ def test_equivariance_under_symplectic_basis_changes():
             for j in range(4):
                 assert t2.value(k, mat[j]) == apply_letter_map(
                     t.values[k][j], images)
+
+
+# -- solver basis ----------------------------------------------------------
+
+
+def _independent(vectors):
+    """Whether some maximal minor is nonzero, by the Leibniz formula."""
+    k = len(vectors)
+    for cols in itertools.combinations(range(len(vectors[0])), k):
+        det = 0
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(1 for i in range(k) for j in range(i + 1, k)
+                             if perm[i] > perm[j])
+            term = (-1) ** inversions
+            for row, c in zip(vectors, perm):
+                term *= row[cols[c]]
+            det += term
+        if det:
+            return True
+    return False
+
+
+def test_basis_halves_is_the_first_come_greedy_pick():
+    for g, seed in ((2, 1), (2, 6), (3, 2)):
+        for mv in walk_moves(g, 3, seed):
+            mg = mv.source
+            for avoid in (set(), {mv.edge_id}):
+                greedy = []
+                for h in sorted(mg.graph.half_edges):
+                    if mg.graph.edge_of[h] in avoid:
+                        continue
+                    if len(greedy) < 2 * g and _independent(
+                            [mg.h[x] for x in greedy + [h]]):
+                        greedy.append(h)
+                assert _basis_halves(mg, avoid) == greedy

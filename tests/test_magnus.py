@@ -5,7 +5,9 @@ independently reconstructed bracket combinations; everything else is
 checked through structural identities that hold on every reachable graph.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -198,6 +200,15 @@ def test_tables_are_memoized_and_hand_out_copies():
     a = tab.ell(mg.graph.tail)
     b = tab.ell(mg.graph.tail)
     assert a == b and a is not b
+
+
+def test_cached_tables_do_not_keep_their_graph_alive():
+    mg = symplectic_graph(1)
+    get_table(mg, 2)
+    ref = weakref.ref(mg)
+    del mg
+    gc.collect()
+    assert ref() is None
 
 
 def test_expansion_ignores_the_pi_marking():
