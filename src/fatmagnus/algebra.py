@@ -6,13 +6,22 @@ Elements are kept exact: each graded component is a dict from packed integer
 words to integer numerators over a single shared denominator, and Fractions
 only appear at the API surface.
 
+exp_t and log_t run one Horner loop (_horner) over y, the argument less its
+constant term.  If every term of y has degree >= m, the accumulator after
+coefficient j is still to be multiplied by y j times, so only its degrees
+<= N - j*m can reach the result, and each step's product stops there.  The
+loop works on integer numerators over one common denominator and
+normalizes once, when it builds the result; every public operation returns
+a normalized element, so outputs are the same exact values in the same
+canonical form whatever the route.
+
 Letters 0..g-1 are the u_i, letters g..2g-1 are the v_i.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_DEGREE = 5
@@ -66,6 +75,31 @@ def _unpack(key: int, degree: int, nletters: int) -> tuple[int, ...]:
         key, c = divmod(key, nletters)
         out.append(c)
     return tuple(reversed(out))
+
+
+def _product(a: Sequence[dict[int, int]], b: Sequence[dict[int, int]],
+             nletters: int, lo: int, hi: int) -> list[dict[int, int]]:
+    """Integer numerators of a*b in degrees lo..hi, zero terms dropped.
+
+    a and b are per-degree components; the result has hi + 1 components,
+    those below lo empty.
+    """
+    out: list[dict[int, int]] = [{} for _ in range(hi + 1)]
+    for d1, c1 in enumerate(a[:hi + 1]):
+        if not c1:
+            continue
+        for d2 in range(max(lo - d1, 0), min(hi - d1, len(b) - 1) + 1):
+            c2 = b[d2]
+            if not c2:
+                continue
+            shift = nletters ** d2
+            target = out[d1 + d2]
+            for k1, n1 in c1.items():
+                base = k1 * shift
+                for k2, n2 in c2.items():
+                    key = base + k2
+                    target[key] = target.get(key, 0) + n1 * n2
+    return [{k: n for k, n in comp.items() if n} for comp in out]
 
 
 class TruncatedTensor:
@@ -272,25 +306,8 @@ class TruncatedTensor:
         self._compat(other)
         t = TruncatedTensor(self.genus, self.max_degree)
         t.den = self.den * other.den
-        A = self.nletters
-        out = t.comps
-        for d1 in range(self.max_degree + 1):
-            c1 = self.comps[d1]
-            if not c1:
-                continue
-            for d2 in range(self.max_degree + 1 - d1):
-                c2 = other.comps[d2]
-                if not c2:
-                    continue
-                shift = A ** d2
-                target = out[d1 + d2]
-                for k1, n1 in c1.items():
-                    base = k1 * shift
-                    for k2, n2 in c2.items():
-                        key = base + k2
-                        target[key] = target.get(key, 0) + n1 * n2
-        for d in range(self.max_degree + 1):
-            out[d] = {k: n for k, n in out[d].items() if n}
+        t.comps = _product(self.comps, other.comps, self.nletters,
+                           0, self.max_degree)
         t._normalize()
         return t
 
@@ -433,29 +450,54 @@ def lie_pretty(t: TruncatedTensor) -> str:
 # -- exponential / logarithm / Hausdorff ----------------------------------
 
 
+def _horner(x: TruncatedTensor, coeffs: Sequence[Fraction],
+            lo: int) -> TruncatedTensor:
+    """sum_j coeffs[j] y^j in degrees lo..N, where y is x less its constant.
+
+    coeffs holds the coefficients of y^0..y^N.  Horner's rule from the top
+    coefficient down, each product truncated as the module docstring says
+    and the last one starting at degree lo.  The coefficients are scaled
+    to integers over one common denominator, so each step is one integer
+    product plus a constant.
+    """
+    N = x.max_degree
+    y = [{}] + x.comps[1:]
+    m = next((d for d, comp in enumerate(y) if comp), N + 1)
+    top = N // m  # y^j vanishes for j > top
+    den = lcm(*(c.denominator for c in coeffs[:top + 1]))
+    b = [c.numerator * (den // c.denominator) * x.den ** (top - j)
+         for j, c in enumerate(coeffs[:top + 1])]
+    acc = [{0: b[top]} if b[top] else {}]
+    for j in range(top - 1, -1, -1):
+        acc = _product(y, acc, x.nletters, lo if j == 0 else 0, N - j * m)
+        if b[j]:
+            acc[0][0] = b[j]
+    t = TruncatedTensor(x.genus, N)
+    t.den = den * x.den ** top
+    t.comps[lo:len(acc)] = acc[lo:]
+    t._normalize()
+    return t
+
+
+def _log_coeffs(n: int) -> list[Fraction]:
+    """Taylor coefficients of log(1 + y) through y^n."""
+    return [Fraction(0)] + [Fraction((-1) ** (j + 1), j)
+                            for j in range(1, n + 1)]
+
+
 def exp_t(x: TruncatedTensor) -> TruncatedTensor:
     """exp of an element with zero constant term."""
     if x.comps[0]:
         raise ValueError("exp needs zero constant term")
-    N = x.max_degree
-    one = TruncatedTensor.unit(x.genus, N)
-    acc = one
-    for k in range(N, 0, -1):
-        acc = one + (x * acc).scaled(Fraction(1, k))
-    return acc
+    return _horner(x, [Fraction(1, factorial(j))
+                       for j in range(x.max_degree + 1)], 0)
+
 
 def log_t(x: TruncatedTensor) -> TruncatedTensor:
     """log of an element with constant term 1."""
     if Fraction(x.comps[0].get(0, 0), x.den) != 1:
         raise ValueError("log needs constant term 1")
-    N = x.max_degree
-    one = TruncatedTensor.unit(x.genus, N)
-    y = x - one
-    # log(1+y) = y(1 - y(1/2 - y(1/3 - ...))), Horner from the inside out
-    acc = one.scaled(Fraction(1, N))
-    for k in range(N - 1, 0, -1):
-        acc = one.scaled(Fraction(1, k)) - y * acc
-    return y * acc
+    return _horner(x, _log_coeffs(x.max_degree), 0)
 
 
 def star(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:

@@ -321,6 +321,19 @@ class H2Element:
     def zero(cls, genus: int) -> "H2Element":
         return cls(_zero_components(genus))
 
+    @classmethod
+    def _trusted(cls, genus: int,
+                 components: Sequence[TruncatedTensor]) -> "H2Element":
+        """Wrap fresh components without validation.
+
+        Only for sums, negatives and multiples of elements: the space is
+        closed under them, so checking membership again would be waste.
+        """
+        el = object.__new__(cls)
+        el.genus = genus
+        el.components = tuple(components)
+        return el
+
     def _check(self, other: "H2Element") -> None:
         if not isinstance(other, H2Element):
             raise TypeError("expected an H2Element")
@@ -329,17 +342,18 @@ class H2Element:
 
     def __add__(self, other: "H2Element") -> "H2Element":
         self._check(other)
-        return H2Element([a + b for a, b in
-                          zip(self.components, other.components)])
+        return H2Element._trusted(self.genus, [
+            a + b for a, b in zip(self.components, other.components)])
 
     def __neg__(self) -> "H2Element":
-        return H2Element([-t for t in self.components])
+        return H2Element._trusted(self.genus, [-t for t in self.components])
 
     def __sub__(self, other: "H2Element") -> "H2Element":
         return self + (-other)
 
     def scaled(self, c: Fraction | int) -> "H2Element":
-        return H2Element([t.scaled(c) for t in self.components])
+        return H2Element._trusted(self.genus,
+                                  [t.scaled(c) for t in self.components])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, H2Element):

@@ -262,11 +262,19 @@ def rooted_isomorphism(g1: Fatgraph, g2: Fatgraph) -> Optional[dict[int, int]]:
 # -- markings --------------------------------------------------------------
 
 
-HVec = tuple[Fraction, ...]
+HVec = tuple[int | Fraction, ...]
+
+
+def _hvec_entry(x) -> int | Fraction:
+    """An exact marking entry: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 def _as_hvec(v: Sequence, genus: int) -> HVec:
-    vec = tuple(Fraction(x) for x in v)
+    vec = tuple(_hvec_entry(x) for x in v)
     if len(vec) != 2 * genus:
         raise ValueError(f"marking vector has length {len(vec)}, "
                          f"expected {2 * genus}")
@@ -285,7 +293,8 @@ def solve_vertex_word(order: Sequence[int], known: Mapping[int, Word],
 class MarkedFatgraph:
     """A fatgraph together with an H-marking and optional pi-marking.
 
-    h maps every half-edge (as an oriented edge) to its homology vector;
+    h maps every half-edge (as an oriented edge) to its homology vector,
+    whose entries are ints where integral and Fractions otherwise;
     pi, when given, maps every half-edge to a reduced free-group word.
     Validation is eager and raises ValueError with a diagnostic.
     edge_names maps construction names to edge ids where a constructor
@@ -319,7 +328,7 @@ class MarkedFatgraph:
         g = G.genus()
         if set(self.h) != G.half_edges:
             raise ValueError("H-marking must cover every oriented edge")
-        zero = tuple(Fraction(0) for _ in range(2 * g))
+        zero = (0,) * (2 * g)
         for half in G.half_edges:
             if tuple(-c for c in self.h[half]) != self.h[G.pair_[half]]:
                 raise ValueError(
@@ -330,7 +339,7 @@ class MarkedFatgraph:
         for vi, v in enumerate(G.vertices):
             if vi == tail_v:
                 continue
-            total = [Fraction(0)] * 2 * g
+            total = [0] * 2 * g
             for half in v:
                 for j, c in enumerate(self.h[half]):
                     total[j] += c
@@ -385,7 +394,7 @@ class MarkedFatgraph:
             raise ValueError("matrix must be 2g x 2g")
         new_h = {}
         for half, vec in self.h.items():
-            out = [Fraction(0)] * n
+            out = [0] * n
             for i, c in enumerate(vec):
                 if c:
                     for j in range(n):

@@ -372,7 +372,9 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
     # invert the basis matrix by reducing [A | I]
     eye = [[int(k == j) for j in range(2 * g)] for k in range(2 * g)]
     rows, _ = row_reduce([list(source.h[x]) + e for x, e in zip(basis, eye)])
-    inv = [[y / r[j] for y in r[2 * g:]] for j, r in enumerate(rows)]
+    # entries no elimination step touched are still ints
+    inv = [[Fraction(y) / r[j] for y in r[2 * g:]]
+           for j, r in enumerate(rows)]
     ls = [ts.ell(x) for x in basis]
     lt = [tt.ell(x) for x in basis]
     corr = [TruncatedTensor(g, n) for _ in range(2 * g)]

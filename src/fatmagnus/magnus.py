@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 from .algebra import (
     DEFAULT_MAX_DEGREE,
     TruncatedTensor,
+    _horner,
+    _log_coeffs,
     exp_t,
     lie_pretty,
     log_t,
@@ -61,7 +63,8 @@ class MagnusTable:
             inc = [None] * L
             for j in range(1, L):
                 rev = self._pos[G.pair_[cycle[j]]]
-                inc[j] = log_t(exps[j - 1] * exps[rev]).graded(n)
+                # the degree-n part of log(exps[j - 1] * exps[rev])
+                inc[j] = _horner(exps[j - 1] * exps[rev], _log_coeffs(n), n)
             prefix = [TruncatedTensor(g, n)]
             for j in range(1, L):
                 prefix.append(prefix[-1] + inc[j])

@@ -147,3 +147,29 @@ def single_sector_vector(mg, edge_id, x):
         assert pos == list(range(pos[0], pos[0] + len(pat)))
         return label, tuple(dot(mg.h[x], mg.h[y]) for y in (a, b, c))
     raise AssertionError("not a single-sector test edge")
+
+
+def reference_exp_t(x: TruncatedTensor) -> TruncatedTensor:
+    """The full-truncation Horner exp, kept as the reference for exp_t."""
+    if x.comps[0]:
+        raise ValueError("exp needs zero constant term")
+    N = x.max_degree
+    one = TruncatedTensor.unit(x.genus, N)
+    acc = one
+    for k in range(N, 0, -1):
+        acc = one + (x * acc).scaled(Fraction(1, k))
+    return acc
+
+
+def reference_log_t(x: TruncatedTensor) -> TruncatedTensor:
+    """The full-truncation Horner log, kept as the reference for log_t."""
+    if Fraction(x.comps[0].get(0, 0), x.den) != 1:
+        raise ValueError("log needs constant term 1")
+    N = x.max_degree
+    one = TruncatedTensor.unit(x.genus, N)
+    y = x - one
+    # log(1+y) = y(1 - y(1/2 - y(1/3 - ...))), Horner from the inside out
+    acc = one.scaled(Fraction(1, N))
+    for k in range(N - 1, 0, -1):
+        acc = one.scaled(Fraction(1, k)) - y * acc
+    return y * acc

@@ -8,6 +8,8 @@ from fatmagnus.algebra import (
     DEFAULT_MAX_DEGREE,
     IAMap,
     TruncatedTensor,
+    _horner,
+    _log_coeffs,
     apply_letter_map,
     dot,
     exp_t,
@@ -25,7 +27,13 @@ from fatmagnus.algebra import (
     star,
     symplectic_form,
 )
-from helpers import ia_maps, lie_tensors, tensors
+from helpers import (
+    ia_maps,
+    lie_tensors,
+    reference_exp_t,
+    reference_log_t,
+    tensors,
+)
 
 
 def letters(genus, max_degree=DEFAULT_MAX_DEGREE):
@@ -113,6 +121,60 @@ def test_exp_rejects_constant_term():
         exp_t(TruncatedTensor.unit(1))
     with pytest.raises(ValueError):
         log_t(TruncatedTensor.letter(1, 0))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Genus 1-3 and degree 1-6: arbitrary (mostly non-Lie) x and y with
+    zero constant term, small-denominator coefficients, and x sometimes
+    starting above degree one."""
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    x = draw(tensors(g, n, min_degree=draw(st.integers(1, n)), max_terms=3))
+    y = draw(tensors(g, n, min_degree=1, max_terms=3))
+    return x, y
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_inputs())
+def test_exp_log_star_equal_the_full_truncation_reference(xy):
+    x, y = xy
+    one = TruncatedTensor.unit(x.genus, x.max_degree)
+    ex = exp_t(x)
+    # == compares the canonical den and comps, so this is bit-identity
+    assert ex == reference_exp_t(x)
+    assert log_t(one + y) == reference_log_t(one + y)
+    p = ex * exp_t(y)
+    assert log_t(p) == reference_log_t(p)
+    assert star(x, y) == reference_log_t(reference_exp_t(x)
+                                         * reference_exp_t(y))
+
+
+@settings(deadline=None, max_examples=40)
+@given(kernel_inputs())
+def test_degree_limited_log_is_the_graded_part(xy):
+    x, y = xy
+    p = exp_t(x) * exp_t(y)
+    full = log_t(p)
+    N = p.max_degree
+    # degrees n..N of log(p); n = N is what MagnusTable asks for
+    for n in range(N + 1):
+        assert _horner(p, _log_coeffs(N), n) == sum(
+            (full.graded(d) for d in range(n, N + 1)),
+            TruncatedTensor(p.genus, N))
+
+
+@pytest.mark.parametrize("const", [Fraction(2), Fraction(1, 2), Fraction(-1),
+                                   Fraction(0)])
+def test_exp_and_log_reject_a_bad_constant_term(const):
+    x = TruncatedTensor.letter(2, 1, 4) + TruncatedTensor.from_word(
+        2, (0, 3), Fraction(1, 3), 4)
+    c = TruncatedTensor.unit(2, 4).scaled(const)
+    if const:
+        with pytest.raises(ValueError, match="exp needs zero constant term"):
+            exp_t(x + c)
+    with pytest.raises(ValueError, match="log needs constant term 1"):
+        log_t(x + c)
 
 
 def test_hausdorff_low_degrees():

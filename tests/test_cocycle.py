@@ -213,6 +213,27 @@ def test_target_space_validation():
         H2Element(bad)
 
 
+def test_closed_operations_skip_validation_and_the_constructor_keeps_it():
+    rng = random.Random(12)
+    for _ in range(6):
+        g = rng.choice([1, 2])
+        p = symmetric_pair(rand_quad(g, rng), rand_quad(g, rng))
+        q = symmetric_pair(rand_quad(g, rng), rand_quad(g, rng))
+        for r in (p + q, p - q, -p, p.scaled(Fraction(3, 2)), p.scaled(0)):
+            assert H2Element(r.components) == r
+    # raw move values lie outside the space: the public constructor
+    # rejects them, and only bar_project brings them in
+    rejected = 0
+    for mv in walk_moves(2, 10, seed=5):
+        raw = [t.truncated(LIE_DEGREE) for t in
+               tensor_components(list(tau_move(mv, 2).tau.values[2]))]
+        if bar_project(raw).components != tuple(raw):
+            with pytest.raises(ValueError):
+                H2Element(raw)
+            rejected += 1
+    assert rejected
+
+
 def test_target_space_values_are_unhashable():
     # equality compares mutable tensors, so neither type offers a hash
     for value in (H2Element.zero(2), j2_identity(2)):

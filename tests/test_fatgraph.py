@@ -1,11 +1,13 @@
 """Fatgraph layer: words, construction, boundary structure, markings, moves."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import figure_eight, random_walk
+from helpers import figure_eight, random_symplectic_matrix, random_walk
+from fatmagnus.magnus import MagnusTable
 from fatmagnus.fatgraph import (
     Fatgraph,
     MarkedFatgraph,
@@ -246,6 +248,25 @@ def test_geometricity_respects_symplectic_change_of_basis():
 def test_basis_change_checks_shape():
     with pytest.raises(ValueError, match="2g x 2g"):
         symplectic_graph(1).apply_basis_change([[1, 0]])
+
+
+def test_integral_markings_are_stored_as_ints():
+    mg = symplectic_graph(2)
+    as_fracs = {x: tuple(Fraction(c) for c in v) for x, v in mg.h.items()}
+    mf = MarkedFatgraph(mg.graph, as_fracs, mg.pi)
+    assert mf.h == mg.h
+    assert all(type(c) is int for v in mf.h.values() for c in v)
+    for x in mg.graph.half_edges:
+        assert MagnusTable(mf, 3).ell(x) == MagnusTable(mg, 3).ell(x)
+    moved = mg.apply_basis_change(random_symplectic_matrix(2, random.Random(5)))
+    assert moved.is_geometric()
+    assert all(type(c) is int for v in moved.h.values() for c in v)
+    # a non-integral marking keeps its Fractions exactly
+    half = MarkedFatgraph(mg.graph, {x: tuple(Fraction(c, 2) for c in v)
+                                     for x, v in mg.h.items()})
+    assert all(c.denominator == 2 for v in half.h.values() for c in v
+               if isinstance(c, Fraction))
+    assert {x: tuple(2 * c for c in v) for x, v in half.h.items()} == mg.h
 
 
 # -- special graphs away from the main family ------------------------------

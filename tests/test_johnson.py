@@ -212,6 +212,22 @@ def test_solver_carries_the_tail_series_across():
         assert phi.apply(tt.ell(tail)) == ts.ell(tail)
 
 
+def test_solver_stays_exact_on_a_non_unimodular_marking():
+    # tripling u1 makes the basis matrix's inverse non-integral, while
+    # the marking entries stay ints: the inverse must still be exact
+    mg = symplectic_graph(2).apply_basis_change(
+        [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    solved = 0
+    for e in mg.graph.movable_edges():
+        mv = whitehead(mg, e)
+        phi = ia_between(mv.source, mv.result, {e}, 2)
+        ts, tt = get_table(mv.source, 3), get_table(mv.result, 3)
+        for x in _basis_halves(mv.source, {e}):
+            assert phi.apply(tt.ell(x)) == ts.ell(x)
+        solved += 1
+    assert solved
+
+
 def test_solver_rejects_rank_deficient_edge_sets():
     names = symplectic_edge_names(1)
     one = symplectic_graph(1)
