@@ -15,6 +15,14 @@ normalizes once, when it builds the result; every public operation returns
 a normalized element, so outputs are the same exact values in the same
 canonical form whatever the route.
 
+apply_letter_map, the one substitution routine, takes images with zero
+constant term, so the images of the first i letters of a degree-k word
+reach the result only through degrees i..N - (k - i), and each prefix
+product stops there.  Words of one degree are visited in sorted order and
+share a stack of prefix products; a word whose letters' images differ
+from the letters only above the truncation goes straight to the output.
+It also works over one common denominator and normalizes once.
+
 Letters 0..g-1 are the u_i, letters g..2g-1 are the v_i.
 """
 
@@ -107,6 +115,10 @@ class TruncatedTensor:
 
     Components are stored per degree as {packed word: integer numerator};
     ``den`` is the common positive denominator for the whole element.
+
+    Tensors are values: no operation changes its operands, and a tensor
+    is not changed once an operation has returned it, so results (table
+    entries, IAMap corrections) are shared, not copied.
     """
 
     __slots__ = ("genus", "nletters", "max_degree", "den", "comps")
@@ -148,10 +160,8 @@ class TruncatedTensor:
                   coeff: Fraction | int = 1,
                   max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
         t = cls(genus, max_degree)
-        if len(word) > max_degree:
-            return t
         c = Fraction(coeff)
-        if c == 0:
+        if len(word) > max_degree or c == 0:
             return t
         t.den = c.denominator
         t.comps[len(word)][_pack(word, t.nletters)] = c.numerator
@@ -164,9 +174,7 @@ class TruncatedTensor:
         if len(vec) != 2 * genus:
             raise ValueError("vector length must be 2*genus")
         fracs = [Fraction(x) for x in vec]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm(*(f.denominator for f in fracs))
         t = cls(genus, max_degree)
         t.den = den
         for i, f in enumerate(fracs):
@@ -378,10 +386,7 @@ def lie_decompose(t: TruncatedTensor) -> list[tuple[Fraction, tuple[int, ...]]]:
     """
     if not is_lie(t):
         raise ValueError("not a Lie element")
-    out: list[tuple[Fraction, tuple[int, ...]]] = []
-    for word, coeff in t.terms():
-        out.append((coeff / len(word), word))
-    return out
+    return [(coeff / len(word), word) for word, coeff in t.terms()]
 
 
 def _lyndon_factor(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -567,22 +572,54 @@ def symplectic_form(genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> Truncat
 
 def apply_letter_map(t: TruncatedTensor,
                      images: Sequence[TruncatedTensor]) -> TruncatedTensor:
-    """Algebra endomorphism sending letter i to images[i] (degree-1 images)."""
-    if len(images) != t.nletters:
+    """The algebra endomorphism sending letter i to images[i].
+
+    Every image must have the shape of t and zero constant term; the
+    truncation rule is in the module docstring.
+    """
+    genus, N, n = t.genus, t.max_degree, t.nletters
+    if len(images) != n:
         raise ValueError("need one image per letter")
-    out = TruncatedTensor(t.genus, t.max_degree)
-    cache: dict[tuple[int, ...], TruncatedTensor] = {}
-    for word, coeff in t.terms():
-        if not word:
-            out = out + TruncatedTensor.unit(t.genus, t.max_degree).scaled(coeff)
-            continue
-        if word not in cache:
-            prod = images[word[0]]
-            for c in word[1:]:
-                prod = prod * images[c]
-            cache[word] = prod
-        out = out + cache[word].scaled(coeff)
-    return out
+    # lift[c]: how far the image of c, less c itself, raises degree
+    lift = []
+    for c, im in enumerate(images):
+        where = f"image of {letter_name(genus, c)}"
+        if (im.genus, im.max_degree) != (genus, N):
+            raise ValueError(f"{where} has genus {im.genus} and max_degree "
+                             f"{im.max_degree}, not {genus} and {N}")
+        if im.comps[0]:
+            raise ValueError(f"{where} has a constant term")
+        lift.append(0 if im.comps[1] != {c: im.den} else
+                    next((d - 1 for d in range(2, N + 1) if im.comps[d]), N))
+    den = lcm(*(im.den for im in images))
+    imgs = [[{w: v * (den // im.den) for w, v in comp.items()}
+             for comp in im.comps] for im in images]
+    out: list[dict[int, int]] = [{} for _ in range(N + 1)]
+    for k, comp in enumerate(t.comps):
+        # a degree-k word whose letters all lift by more than N - k is fixed
+        fixed = {c for c in range(n) if lift[c] > N - k}
+        stack, prev = [[{0: 1}]], ()  # stack[i]: image of prev[:i]
+        for key in sorted(comp):
+            word = _unpack(key, k, n)
+            if fixed.issuperset(word):
+                out[k][key] = out[k].get(key, 0) + comp[key] * den ** N
+                continue
+            i = next((j for j in range(len(stack) - 1) if word[j] != prev[j]),
+                     len(stack) - 1)
+            del stack[i + 1:]
+            for j in range(i, k):
+                stack.append(_product(stack[j], imgs[word[j]], n,
+                                      j + 1, N - k + j + 1))
+            prev, coeff = word, comp[key] * den ** (N - k)
+            for d in range(k, N + 1):
+                acc = out[d]
+                for w, v in stack[k][d].items():
+                    acc[w] = acc.get(w, 0) + coeff * v
+    r = TruncatedTensor(genus, N)
+    r.den = t.den * den ** N
+    r.comps = [{w: v for w, v in comp.items() if v} for comp in out]
+    r._normalize()
+    return r
 
 
 def matrix_letter_images(genus: int, matrix: Sequence[Sequence[int]],
@@ -600,11 +637,8 @@ def is_symplectic_matrix(genus: int,
     if len(matrix) != n or any(len(r) != n for r in matrix):
         return False
     basis = [[Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dot(matrix[i], matrix[j]) != dot(basis[i], basis[j]):
-                return False
-    return True
+    return all(dot(matrix[i], matrix[j]) == dot(basis[i], basis[j])
+               for i in range(n) for j in range(i + 1, n))
 
 
 # -- IA automorphism maps -------------------------------------------------
@@ -633,7 +667,7 @@ class IAMap:
                 raise ValueError("corrections must start in degree 2")
         self.genus = genus
         self.max_degree = max_degree
-        self.corrections = [c.copy() for c in corrections]
+        self.corrections = list(corrections)
 
     @classmethod
     def identity(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "IAMap":
@@ -651,40 +685,12 @@ class IAMap:
                 and self.corrections == other.corrections)
 
     def apply(self, t: TruncatedTensor) -> TruncatedTensor:
-        """Apply the substitution to an arbitrary truncated tensor.
-
-        For a degree-k word, substituting the correction at j >= 1 positions
-        raises the degree by >= j, so positions are chosen from subsets of
-        size <= (max_degree - k); the identity part of the substitution is
-        handled wordwise with no expansion.
-        """
+        """Apply the substitution to an arbitrary truncated tensor."""
         if t.genus != self.genus or t.max_degree != self.max_degree:
             raise ValueError("shape mismatch")
-        N = self.max_degree
-        out = t.copy()
-        corr = self.corrections
-        extra = TruncatedTensor(self.genus, N)
-        for word, coeff in t.terms():
-            k = len(word)
-            if k == 0 or k >= N:
-                continue
-            budget = N - k
-            hot = [i for i, c in enumerate(word) if not corr[c].is_zero()]
-            if not hot:
-                continue
-            # subsets of substitution positions, smallest first
-            for mask_positions in _subsets(hot, budget):
-                if not mask_positions:
-                    continue
-                prod = None
-                for i, c in enumerate(word):
-                    if i in mask_positions:
-                        factor = corr[c]
-                    else:
-                        factor = TruncatedTensor.letter(self.genus, c, N)
-                    prod = factor if prod is None else prod * factor
-                extra = extra + prod.scaled(coeff)
-        return out + extra
+        return apply_letter_map(t, [
+            TruncatedTensor.letter(self.genus, i, self.max_degree) + c
+            for i, c in enumerate(self.corrections)])
 
     def compose(self, other: "IAMap") -> "IAMap":
         """The map "self then other": x -> other(self(x)).
@@ -706,17 +712,10 @@ class IAMap:
         for n in range(2, N + 1):
             new = []
             for i in range(2 * self.genus):
-                # want: self_corr_i + self.apply-free expansion of inv at x_i = 0
-                # residual at degree n with current partial inverse:
+                # the degree-n residual of the current partial inverse
                 x = TruncatedTensor.letter(self.genus, i, N)
                 resid = inv.apply(self.apply(x)) - x
                 new.append(inv.corrections[i] - resid.graded(n))
             inv = IAMap(self.genus, new, N)
         return inv
 
-
-def _subsets(items: list[int], max_size: int) -> Iterator[frozenset[int]]:
-    from itertools import combinations
-    for r in range(1, min(len(items), max_size) + 1):
-        for combo in combinations(items, r):
-            yield frozenset(combo)

@@ -18,7 +18,7 @@ from .algebra import (
     _log_coeffs,
     exp_t,
     lie_pretty,
-    log_t,
+    star,
 )
 from .fatgraph import MarkedFatgraph, WhiteheadMove
 
@@ -56,24 +56,17 @@ class MagnusTable:
 
         self.one = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
                     for h in G.half_edges}
-        ell = {h: t.copy() for h, t in self.one.items()}
-        L = len(cycle)
+        ell = dict(self.one)
         for n in range(2, max_degree + 1):
             exps = [exp_t(ell[h].truncated(n)) for h in cycle]
-            inc = [None] * L
-            for j in range(1, L):
-                rev = self._pos[G.pair_[cycle[j]]]
-                # the degree-n part of log(exps[j - 1] * exps[rev])
-                inc[j] = _horner(exps[j - 1] * exps[rev], _log_coeffs(n), n)
-            prefix = [TruncatedTensor(g, n)]
-            for j in range(1, L):
-                prefix.append(prefix[-1] + inc[j])
-            for h, (p, q) in self._arc.items():
-                part = (prefix[q] - prefix[p]).scaled(Fraction(-1, 3))
-                ell[h] = ell[h] + part.truncated(max_degree)
-            for h in G.half_edges:
-                if h not in self._arc:
-                    ell[h] = -ell[G.pair_[h]]
+            # the degree-n part of log(exps[j - 1] * exps[rev]) per step
+            inc = [_horner(exps[j - 1] * exps[self._pos[G.pair_[cycle[j]]]],
+                           _log_coeffs(n), n)
+                   for j in range(1, len(cycle))]
+            for h, part in self._arc_sums(inc).items():
+                ell[h] = ell[h] + part.scaled(Fraction(-1, 3)).truncated(
+                    max_degree)
+            self._fill_reversed(ell)
         self._ell = ell
         self._theta: dict[int, TruncatedTensor] = {}
         self._integrals: Optional[tuple[dict, dict, dict, dict]] = None
@@ -81,28 +74,35 @@ class MagnusTable:
     # -- series values ----------------------------------------------------
 
     def ell(self, half: int) -> TruncatedTensor:
-        return self._ell[half].copy()
+        return self._ell[half]
 
     def theta(self, half: int) -> TruncatedTensor:
         if half not in self._theta:
             self._theta[half] = exp_t(self._ell[half])
-        return self._theta[half].copy()
+        return self._theta[half]
 
     # -- integral tables ---------------------------------------------------
 
-    def _arc_table(self, inc_fn) -> dict[int, TruncatedTensor]:
+    def _arc_sums(self, inc: list[TruncatedTensor]
+                  ) -> dict[int, TruncatedTensor]:
+        """inc[p] + ... + inc[q - 1] on each arc [p..q], by prefix sums."""
+        prefix = [TruncatedTensor(inc[0].genus, inc[0].max_degree)]
+        for x in inc:
+            prefix.append(prefix[-1] + x)
+        return {h: prefix[q] - prefix[p] for h, (p, q) in self._arc.items()}
+
+    def _fill_reversed(self, vals: dict[int, TruncatedTensor]) -> None:
+        """Give each half-edge off the arcs minus its reverse's value."""
         G = self.mg.graph
-        g = self.mg.genus()
-        prefix = [TruncatedTensor(g, self.max_degree)]
-        for j in range(1, len(self._cycle)):
-            prefix.append(
-                prefix[-1] + inc_fn(self._cycle[j - 1], self._cycle[j]))
-        out = {}
-        for h, (p, q) in self._arc.items():
-            out[h] = prefix[q] - prefix[p]
         for h in G.half_edges:
             if h not in self._arc:
-                out[h] = -out[G.pair_[h]]
+                vals[h] = -vals[G.pair_[h]]
+
+    def _arc_table(self, inc_fn) -> dict[int, TruncatedTensor]:
+        cycle = self._cycle
+        out = self._arc_sums([inc_fn(cycle[j - 1], cycle[j])
+                              for j in range(1, len(cycle))])
+        self._fill_reversed(out)
         return out
 
     def _integral_tables(self) -> tuple[dict, dict, dict, dict]:
@@ -141,16 +141,16 @@ class MagnusTable:
         return self._integrals
 
     def P(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[0][half].copy()
+        return self._integral_tables()[0][half]
 
     def Q(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[1][half].copy()
+        return self._integral_tables()[1][half]
 
     def R(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[2][half].copy()
+        return self._integral_tables()[2][half]
 
     def qhat(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[3][half].copy()
+        return self._integral_tables()[3][half]
 
 
 # -- module-level API ------------------------------------------------------
@@ -174,7 +174,7 @@ def ell_word(mg: MarkedFatgraph, halves: Sequence[int],
     table = get_table(mg, max_degree)
     total = table.ell(halves[0])
     for h in halves[1:]:
-        total = log_t(exp_t(total) * exp_t(table.ell(h)))
+        total = star(total, table.ell(h))
     return total
 
 

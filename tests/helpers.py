@@ -173,3 +173,63 @@ def reference_log_t(x: TruncatedTensor) -> TruncatedTensor:
     for k in range(N - 1, 0, -1):
         acc = one.scaled(Fraction(1, k)) - y * acc
     return y * acc
+
+
+def reference_ia_apply(m: IAMap, t: TruncatedTensor) -> TruncatedTensor:
+    """The position-subset IAMap.apply, kept as a reference for the
+    substitution routine."""
+    if t.genus != m.genus or t.max_degree != m.max_degree:
+        raise ValueError("shape mismatch")
+    N = m.max_degree
+    out = t.copy()
+    corr = m.corrections
+    extra = TruncatedTensor(m.genus, N)
+    for word, coeff in t.terms():
+        k = len(word)
+        if k == 0 or k >= N:
+            continue
+        budget = N - k
+        hot = [i for i, c in enumerate(word) if not corr[c].is_zero()]
+        if not hot:
+            continue
+        # subsets of substitution positions, smallest first
+        for mask_positions in _subsets(hot, budget):
+            if not mask_positions:
+                continue
+            prod = None
+            for i, c in enumerate(word):
+                if i in mask_positions:
+                    factor = corr[c]
+                else:
+                    factor = TruncatedTensor.letter(m.genus, c, N)
+                prod = factor if prod is None else prod * factor
+            extra = extra + prod.scaled(coeff)
+    return out + extra
+
+
+def _subsets(items, max_size):
+    from itertools import combinations
+    for r in range(1, min(len(items), max_size) + 1):
+        for combo in combinations(items, r):
+            yield frozenset(combo)
+
+
+def reference_apply_letter_map(t: TruncatedTensor,
+                               images) -> TruncatedTensor:
+    """The word-by-word full-truncation substitution, kept as a reference
+    for apply_letter_map."""
+    if len(images) != t.nletters:
+        raise ValueError("need one image per letter")
+    out = TruncatedTensor(t.genus, t.max_degree)
+    cache = {}
+    for word, coeff in t.terms():
+        if not word:
+            out = out + TruncatedTensor.unit(t.genus, t.max_degree).scaled(coeff)
+            continue
+        if word not in cache:
+            prod = images[word[0]]
+            for c in word[1:]:
+                prod = prod * images[c]
+            cache[word] = prod
+        out = out + cache[word].scaled(coeff)
+    return out

@@ -28,9 +28,12 @@ from fatmagnus.algebra import (
     symplectic_form,
 )
 from helpers import (
+    coeffs,
     ia_maps,
     lie_tensors,
+    reference_apply_letter_map,
     reference_exp_t,
+    reference_ia_apply,
     reference_log_t,
     tensors,
 )
@@ -39,6 +42,12 @@ from helpers import (
 def letters(genus, max_degree=DEFAULT_MAX_DEGREE):
     return [TruncatedTensor.letter(genus, i, max_degree)
             for i in range(2 * genus)]
+
+
+def genus_1_or_2(*strategies):
+    """A genus, 1 or 2, and one draw from each strategy at that genus."""
+    return st.integers(1, 2).flatmap(
+        lambda g: st.tuples(*(f(g) for f in strategies)))
 
 
 def test_letter_names_roundtrip():
@@ -351,6 +360,92 @@ def test_apply_letter_map_is_ring_hom(a, b):
     assert f(a + b) == f(a) + f(b)
 
 
+@st.composite
+def substitutions(draw):
+    """Genus 1-3 and degree 1-6: an input with a constant term and a
+    degree-N word, a map x_i -> x_i + corrections[i] with some
+    corrections zero, and linear images from a non-identity integer
+    matrix, plus the same with the corrections added on."""
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    top = tuple(draw(st.lists(st.integers(0, 2 * g - 1),
+                              min_size=n, max_size=n)))
+    t = (draw(tensors(g, n, max_terms=3))
+         + TruncatedTensor.unit(g, n).scaled(draw(coeffs))
+         + TruncatedTensor.from_word(g, top, draw(coeffs), n))
+    zero = TruncatedTensor(g, n)
+    corr = [draw(tensors(g, n, min_degree=2, max_terms=2))
+            if n >= 2 and draw(st.booleans()) else zero
+            for _ in range(2 * g)]
+    entries = st.sampled_from([-1, 0, 0, 0, 1, 2])
+    mat = draw(st.lists(st.lists(entries, min_size=2 * g, max_size=2 * g),
+                        min_size=2 * g, max_size=2 * g)
+               .filter(lambda m: m != [[int(i == j) for j in range(2 * g)]
+                                       for i in range(2 * g)]))
+    return t, IAMap(g, corr, n), matrix_letter_images(g, mat, n)
+
+
+@settings(deadline=None, max_examples=120)
+@given(substitutions())
+def test_substitution_equals_both_old_routines(args):
+    t, m, linear = args
+    g, n = t.genus, t.max_degree
+    ia_images = [TruncatedTensor.letter(g, i, n) + c
+                 for i, c in enumerate(m.corrections)]
+    # == compares the canonical den and comps, so this is bit-identity
+    assert m.apply(t) == reference_ia_apply(m, t)
+    assert apply_letter_map(t, ia_images) == reference_ia_apply(m, t)
+    assert apply_letter_map(t, linear) == reference_apply_letter_map(
+        t, linear)
+    mixed = [a + c for a, c in zip(linear, m.corrections)]
+    assert apply_letter_map(t, mixed) == reference_apply_letter_map(
+        t, mixed)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (TruncatedTensor.unit(2, 3) + TruncatedTensor.letter(2, 3, 3),
+     "image of v2 has a constant term"),
+    (TruncatedTensor.letter(1, 1, 3),
+     "image of v2 has genus 1 and max_degree 3, not 2 and 3"),
+    (TruncatedTensor.letter(2, 3, 4),
+     "image of v2 has genus 2 and max_degree 4, not 2 and 3"),
+], ids=["constant_term", "genus", "max_degree"])
+def test_substitution_rejects_images_it_cannot_substitute(bad, message):
+    images = [TruncatedTensor.letter(2, i, 3) for i in range(3)] + [bad]
+    t = TruncatedTensor.from_word(2, (3, 0), 1, 3)
+    with pytest.raises(ValueError, match=message):
+        apply_letter_map(t, images)
+
+
+def test_substitution_rejects_a_constant_term_at_any_truncation():
+    # u -> 1 + u has no truncation-independent value on u^2 + u^3
+    for n in (2, 3):
+        u = TruncatedTensor.letter(1, 0, n)
+        images = [TruncatedTensor.unit(1, n) + u,
+                  TruncatedTensor.letter(1, 1, n)]
+        with pytest.raises(ValueError, match="image of u1 has a constant"):
+            apply_letter_map(u * u + u * u * u, images)
+
+
+def _state(t):
+    return t.den, [dict(c) for c in t.comps]
+
+
+@settings(deadline=None)
+@given(genus_1_or_2(tensors, lambda g: tensors(g, min_degree=1), ia_maps))
+def test_operations_leave_their_operands_unchanged(args):
+    a, x, m = args
+    one = TruncatedTensor.unit(x.genus, x.max_degree)
+    images = [TruncatedTensor.letter(x.genus, i, x.max_degree) + c
+              for i, c in enumerate(m.corrections)]
+    operands = [a, x, one] + m.corrections + images
+    before = [_state(t) for t in operands]
+    a + x, a - x, a * x, x * a, -a, a.scaled(Fraction(-2, 3))
+    a.bracket(x), a.graded(2), a.truncated(2), a.truncated(6)
+    exp_t(x), log_t(one + x), m.apply(a), apply_letter_map(a, images)
+    assert [_state(t) for t in operands] == before
+
+
 # -- IAMap ----------------------------------------------------------------
 
 
@@ -367,24 +462,27 @@ def test_ia_rejects_low_degree_corrections():
                   TruncatedTensor.zero(1)])
 
 
-@given(ia_maps(), tensors(), tensors())
-def test_ia_apply_is_ring_hom(m, a, b):
+@given(genus_1_or_2(ia_maps, tensors, tensors))
+def test_ia_apply_is_ring_hom(mab):
+    m, a, b = mab
     assert m.apply(a * b) == m.apply(a) * m.apply(b)
     assert m.apply(a + b) == m.apply(a) + m.apply(b)
 
 
-@given(ia_maps(), ia_maps(), tensors())
-def test_ia_compose_matches_sequential_apply(m1, m2, t):
+@given(genus_1_or_2(ia_maps, ia_maps, tensors))
+def test_ia_compose_matches_sequential_apply(m12t):
+    m1, m2, t = m12t
     assert m1.compose(m2).apply(t) == m2.apply(m1.apply(t))
 
 
-@given(ia_maps(), ia_maps(), ia_maps())
+@given(genus_1_or_2(ia_maps, ia_maps, ia_maps))
 @settings(deadline=None, max_examples=25)
-def test_ia_compose_associative(a, b, c):
+def test_ia_compose_associative(abc):
+    a, b, c = abc
     assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
-@given(ia_maps())
+@given(st.integers(1, 2).flatmap(ia_maps))
 @settings(deadline=None)
 def test_ia_inverse_two_sided(m):
     mi = m.inverse()
@@ -397,6 +495,11 @@ def test_ia_top_degree_words_pass_through():
     u, v = letters(1, N)
     m = IAMap(1, [u.bracket(v).truncated(N), TruncatedTensor(1, N)], N)
     w = TruncatedTensor.from_word(1, (0, 0, 1), 1, N)
+    assert m.apply(w) == w
+    u1, u2, v1, v2 = letters(2, N)
+    m = IAMap(2, [u1.bracket(v2), v1 * v1, TruncatedTensor(2, N),
+                  u2.bracket(u1)], N)
+    w = TruncatedTensor.from_word(2, (3, 0, 1), Fraction(-5, 2), N)
     assert m.apply(w) == w
 
 
