@@ -505,6 +505,26 @@ def log_t(x: TruncatedTensor) -> TruncatedTensor:
     return _horner(x, _log_coeffs(x.max_degree), 0)
 
 
+def antipode(x: TruncatedTensor) -> TruncatedTensor:
+    """S(w_1...w_k) = (-1)^k w_k...w_1, extended linearly.
+
+    S is an anti-automorphism with S(a) = -a on letters, so S(exp x) =
+    exp(-x) for every Lie element x.
+    """
+    n = x.nletters
+    t = TruncatedTensor(x.genus, x.max_degree)
+    t.den = x.den
+    for k, comp in enumerate(x.comps):
+        sign, out = (-1) ** k, t.comps[k]
+        for key, v in comp.items():
+            rev = 0
+            for _ in range(k):
+                key, c = divmod(key, n)
+                rev = rev * n + c
+            out[rev] = sign * v
+    return t
+
+
 def star(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     """Baker-Campbell-Hausdorff product log(exp x * exp y)."""
     return log_t(exp_t(x) * exp_t(y))
@@ -653,7 +673,7 @@ class IAMap:
     here: see ``compose``), and inversion, all exactly to the truncation.
     """
 
-    __slots__ = ("genus", "max_degree", "corrections")
+    __slots__ = ("genus", "max_degree", "corrections", "_images")
 
     def __init__(self, genus: int, corrections: Sequence[TruncatedTensor],
                  max_degree: int = DEFAULT_MAX_DEGREE):
@@ -668,6 +688,7 @@ class IAMap:
         self.genus = genus
         self.max_degree = max_degree
         self.corrections = list(corrections)
+        self._images: list[TruncatedTensor] | None = None
 
     @classmethod
     def identity(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "IAMap":
@@ -688,9 +709,11 @@ class IAMap:
         """Apply the substitution to an arbitrary truncated tensor."""
         if t.genus != self.genus or t.max_degree != self.max_degree:
             raise ValueError("shape mismatch")
-        return apply_letter_map(t, [
-            TruncatedTensor.letter(self.genus, i, self.max_degree) + c
-            for i, c in enumerate(self.corrections)])
+        if self._images is None:  # x_i + corrections[i], built once
+            self._images = [
+                TruncatedTensor.letter(self.genus, i, self.max_degree) + c
+                for i, c in enumerate(self.corrections)]
+        return apply_letter_map(t, self._images)
 
     def compose(self, other: "IAMap") -> "IAMap":
         """The map "self then other": x -> other(self(x)).

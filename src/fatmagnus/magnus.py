@@ -2,13 +2,26 @@
 
 The series for each oriented edge is built degree by degree along the
 boundary cycle: each new degree is a scaled sum of Hausdorff-series tails of
-consecutive boundary edges over the tail-avoiding arc, so one pass of prefix
-sums per degree covers every edge at once.
+consecutive boundary edges over the tail-avoiding arc, so one sweep of the
+cycle per degree covers every edge at once.
+
+Each edge has one arc half-edge, whose tail-avoiding arc runs forward
+along the cycle; the other half is its reverse, with ell(reverse) =
+-ell(arc half).  Only the arc halves run exp_t: a reversed half-edge gets
+the antipode of its reverse's exponential, since S(exp x) = exp(-x) for
+Lie x.  The sweep puts each degree's increments over one denominator,
+with the -1/3 folded in, and walks the cycle once with a running dict of
+integer numerators.  It copies that dict at each arc's start and takes
+the difference at the arc's end, so each edge is normalized once per
+degree.  The integral tables P, Q, R and qhat use the same sweep.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -16,6 +29,7 @@ from .algebra import (
     TruncatedTensor,
     _horner,
     _log_coeffs,
+    antipode,
     exp_t,
     lie_pretty,
     star,
@@ -33,43 +47,53 @@ def get_table(mg: MarkedFatgraph,
 
 
 class MagnusTable:
-    """All expansion values of one marked fatgraph up to a fixed degree."""
+    """All expansion values of one marked fatgraph up to a fixed degree.
+
+    The table holds its marked graph weakly, since the graph keeps its
+    tables (see get_table), and its Fatgraph strongly.
+    """
 
     def __init__(self, mg: MarkedFatgraph,
                  max_degree: int = DEFAULT_MAX_DEGREE):
-        if not mg.graph.is_trivalent():
-            raise ValueError("Magnus expansion needs a trivalent fatgraph")
-        self.mg = mg
-        self.max_degree = max_degree
         G = mg.graph
+        tail_v = G.vertex_of[G.tail]
+        for i, v in enumerate(G.vertices):
+            if i != tail_v and len(v) != 3:
+                raise ValueError(f"Magnus expansion needs a trivalent "
+                                 f"fatgraph: vertex {i} {v} has valence "
+                                 f"{len(v)}")
+        self._mg = weakref.ref(mg)
+        self.graph = G
+        self.max_degree = max_degree
         g = mg.genus()
         cycle = G.boundary_cycle()
         self._cycle = cycle
-        self._pos = {h: i for i, h in enumerate(cycle)}
-
-        # boundary arcs [p..q] for the edges whose tail-avoiding path exists
-        self._arc: dict[int, tuple[int, int]] = {}
-        for h in G.half_edges:
-            p, q = self._pos[h], self._pos[G.pair_[h]]
-            if p < q:
-                self._arc[h] = (p, q)
+        pair = G.pair_
+        # the half-edges whose tail-avoiding arc runs forward on the cycle
+        pos = {h: i for i, h in enumerate(cycle)}
+        self._arcs = {h for h in cycle if pos[h] < pos[pair[h]]}
 
         self.one = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
                     for h in G.half_edges}
-        ell = dict(self.one)
+        ell = {h: self.one[h] for h in self._arcs}
         for n in range(2, max_degree + 1):
-            exps = [exp_t(ell[h].truncated(n)) for h in cycle]
-            # the degree-n part of log(exps[j - 1] * exps[rev]) per step
-            inc = [_horner(exps[j - 1] * exps[self._pos[G.pair_[cycle[j]]]],
-                           _log_coeffs(n), n)
-                   for j in range(1, len(cycle))]
-            for h, part in self._arc_sums(inc).items():
-                ell[h] = ell[h] + part.scaled(Fraction(-1, 3)).truncated(
-                    max_degree)
-            self._fill_reversed(ell)
-        self._ell = ell
+            exps = {}
+            for h in self._arcs:
+                exps[h] = exp_t(ell[h].truncated(n))
+                exps[pair[h]] = antipode(exps[h])
+            # the degree-n part of log(exp ell(x) * exp ell(reverse y))
+            # per step x -> y of the cycle
+            coeffs = _log_coeffs(n)
+            inc = [_horner(exps[x] * exps[pair[y]], coeffs, n)
+                   for x, y in zip(cycle, cycle[1:])]
+            ell = self._arc_sums(inc, n, Fraction(-1, 3), ell)
+        self._ell = self._fill_reversed(ell)
         self._theta: dict[int, TruncatedTensor] = {}
-        self._integrals: Optional[tuple[dict, dict, dict, dict]] = None
+
+    @property
+    def mg(self) -> Optional[MarkedFatgraph]:
+        """The marked graph, or None once it has been dropped."""
+        return self._mg()
 
     # -- series values ----------------------------------------------------
 
@@ -81,36 +105,80 @@ class MagnusTable:
             self._theta[half] = exp_t(self._ell[half])
         return self._theta[half]
 
-    # -- integral tables ---------------------------------------------------
+    # -- the arc sweep -----------------------------------------------------
 
-    def _arc_sums(self, inc: list[TruncatedTensor]
+    def _arc_sums(self, inc: list[TruncatedTensor], n: int,
+                  scale: Fraction = Fraction(1),
+                  base: Optional[dict[int, TruncatedTensor]] = None
                   ) -> dict[int, TruncatedTensor]:
-        """inc[p] + ... + inc[q - 1] on each arc [p..q], by prefix sums."""
-        prefix = [TruncatedTensor(inc[0].genus, inc[0].max_degree)]
-        for x in inc:
-            prefix.append(prefix[-1] + x)
-        return {h: prefix[q] - prefix[p] for h, (p, q) in self._arc.items()}
+        """base[h] + scale * (inc[p] + ... + inc[q - 1]) on each arc [p..q].
 
-    def _fill_reversed(self, vals: dict[int, TruncatedTensor]) -> None:
-        """Give each half-edge off the arcs minus its reverse's value."""
-        G = self.mg.graph
-        for h in G.half_edges:
-            if h not in self._arc:
-                vals[h] = -vals[G.pair_[h]]
-
-    def _arc_table(self, inc_fn) -> dict[int, TruncatedTensor]:
-        cycle = self._cycle
-        out = self._arc_sums([inc_fn(cycle[j - 1], cycle[j])
-                              for j in range(1, len(cycle))])
-        self._fill_reversed(out)
+        Every increment is homogeneous of degree n and has the table's
+        shape, and base defaults to zero.  Arc h starts where h sits on
+        the cycle and ends at its reverse.
+        """
+        N = self.max_degree
+        zero = TruncatedTensor(self.graph.genus(), N)
+        if n > N:
+            return {h: zero for h in self._arcs}
+        den = lcm(*(t.den for t in inc))
+        mult = [scale.numerator * (den // t.den) for t in inc]
+        den *= scale.denominator
+        pair = self.graph.pair_
+        run: dict[int, int] = {}
+        opened: dict[int, dict[int, int]] = {}
+        out = {}
+        for j, h in enumerate(self._cycle):
+            if h in self._arcs:
+                opened[h] = dict(run)
+            else:
+                h = pair[h]
+                # run only gains keys, so it has every key of the copy
+                start = opened.pop(h)
+                diff = {k: d for k, v in run.items()
+                        if (d := v - start.get(k, 0))}
+                # part = diff / den in lowest terms; old and part are
+                # normalized, so their sum over the lcm is too
+                g = gcd(den, *diff.values())
+                old = base[h] if base else zero
+                t = TruncatedTensor(old.genus, N)
+                t.den = lcm(old.den, den // g)
+                a, b = t.den // old.den, t.den // (den // g)
+                t.comps = [{k: v * a for k, v in c.items()}
+                           for c in old.comps]
+                t.comps[n] = {k: v // g * b for k, v in diff.items()}
+                out[h] = t
+            if j < len(inc):
+                m = mult[j]
+                for k, v in inc[j].comps[n].items():
+                    run[k] = run.get(k, 0) + m * v
         return out
 
-    def _integral_tables(self) -> tuple[dict, dict, dict, dict]:
-        if self._integrals is not None:
-            return self._integrals
-        one = self.one
+    def _fill_reversed(self, vals: dict[int, TruncatedTensor]
+                       ) -> dict[int, TruncatedTensor]:
+        """vals on every half-edge: each arc half's reverse gets minus
+        its value."""
+        pair = self.graph.pair_
+        out = dict(vals)
+        for h in self._arcs:
+            out[pair[h]] = -vals[h]
+        return out
 
-        P = self._arc_table(lambda x, y: one[x].bracket(one[y]))
+    def _arc_table(self, inc_fn, n: int) -> dict[int, TruncatedTensor]:
+        cycle = self._cycle
+        return self._fill_reversed(self._arc_sums(
+            [inc_fn(x, y) for x, y in zip(cycle, cycle[1:])], n))
+
+    # -- integral tables, each built on its first read ---------------------
+
+    @cached_property
+    def _P(self) -> dict[int, TruncatedTensor]:
+        one = self.one
+        return self._arc_table(lambda x, y: one[x].bracket(one[y]), 2)
+
+    @cached_property
+    def _Q(self) -> dict[int, TruncatedTensor]:
+        one, P = self.one, self._P
 
         def q_inc(x, y):
             fx, fy = one[x], one[y]
@@ -118,12 +186,17 @@ class MagnusTable:
             return fx.bracket(fxy) + fy.bracket(fxy) \
                 + fx.bracket(P[y]) + P[x].bracket(fy)
 
-        Q = self._arc_table(q_inc)
+        return self._arc_table(q_inc, 3)
 
-        def qhat_inc(x, y):
-            return one[x].bracket(P[y]) + P[x].bracket(one[y])
+    @cached_property
+    def _qhat(self) -> dict[int, TruncatedTensor]:
+        one, P = self.one, self._P
+        return self._arc_table(
+            lambda x, y: one[x].bracket(P[y]) + P[x].bracket(one[y]), 3)
 
-        Qhat = self._arc_table(qhat_inc)
+    @cached_property
+    def _R(self) -> dict[int, TruncatedTensor]:
+        one, P, Q = self.one, self._P, self._Q
 
         def r_inc(x, y):
             fx, fy = one[x], one[y]
@@ -136,21 +209,19 @@ class MagnusTable:
             return t + P[x].bracket(P[y]) \
                 + fx.bracket(Q[y]) + Q[x].bracket(fy)
 
-        R = self._arc_table(r_inc)
-        self._integrals = (P, Q, R, Qhat)
-        return self._integrals
+        return self._arc_table(r_inc, 4)
 
     def P(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[0][half]
+        return self._P[half]
 
     def Q(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[1][half]
+        return self._Q[half]
 
     def R(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[2][half]
+        return self._R[half]
 
     def qhat(self, half: int) -> TruncatedTensor:
-        return self._integral_tables()[3][half]
+        return self._qhat[half]
 
 
 # -- module-level API ------------------------------------------------------

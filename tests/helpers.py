@@ -233,3 +233,95 @@ def reference_apply_letter_map(t: TruncatedTensor,
             cache[word] = prod
         out = out + cache[word].scaled(coeff)
     return out
+
+
+class ReferenceMagnusTable:
+    """The prefix-sum table build, kept as the reference for MagnusTable:
+    exp_t on every half-edge and TruncatedTensor prefix sums per degree."""
+
+    def __init__(self, mg, max_degree):
+        from fatmagnus.algebra import _horner, _log_coeffs, exp_t
+
+        self.mg = mg
+        self.max_degree = max_degree
+        G = mg.graph
+        g = mg.genus()
+        cycle = G.boundary_cycle()
+        self._cycle = cycle
+        self._pos = {h: i for i, h in enumerate(cycle)}
+
+        # boundary arcs [p..q] for the edges whose tail-avoiding path exists
+        self._arc: dict[int, tuple[int, int]] = {}
+        for h in G.half_edges:
+            p, q = self._pos[h], self._pos[G.pair_[h]]
+            if p < q:
+                self._arc[h] = (p, q)
+
+        self.one = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
+                    for h in G.half_edges}
+        ell = dict(self.one)
+        for n in range(2, max_degree + 1):
+            exps = [exp_t(ell[h].truncated(n)) for h in cycle]
+            # the degree-n part of log(exps[j - 1] * exps[rev]) per step
+            inc = [_horner(exps[j - 1] * exps[self._pos[G.pair_[cycle[j]]]],
+                           _log_coeffs(n), n)
+                   for j in range(1, len(cycle))]
+            for h, part in self._arc_sums(inc).items():
+                ell[h] = ell[h] + part.scaled(Fraction(-1, 3)).truncated(
+                    max_degree)
+            self._fill_reversed(ell)
+        self.ell = ell
+        self.P, self.Q, self.R, self.qhat = self._integral_tables()
+
+    def _arc_sums(self, inc):
+        """inc[p] + ... + inc[q - 1] on each arc [p..q], by prefix sums."""
+        prefix = [TruncatedTensor(inc[0].genus, inc[0].max_degree)]
+        for x in inc:
+            prefix.append(prefix[-1] + x)
+        return {h: prefix[q] - prefix[p] for h, (p, q) in self._arc.items()}
+
+    def _fill_reversed(self, vals):
+        """Give each half-edge off the arcs minus its reverse's value."""
+        G = self.mg.graph
+        for h in G.half_edges:
+            if h not in self._arc:
+                vals[h] = -vals[G.pair_[h]]
+
+    def _arc_table(self, inc_fn):
+        cycle = self._cycle
+        out = self._arc_sums([inc_fn(cycle[j - 1], cycle[j])
+                              for j in range(1, len(cycle))])
+        self._fill_reversed(out)
+        return out
+
+    def _integral_tables(self):
+        one = self.one
+
+        P = self._arc_table(lambda x, y: one[x].bracket(one[y]))
+
+        def q_inc(x, y):
+            fx, fy = one[x], one[y]
+            fxy = fx.bracket(fy)
+            return fx.bracket(fxy) + fy.bracket(fxy) \
+                + fx.bracket(P[y]) + P[x].bracket(fy)
+
+        Q = self._arc_table(q_inc)
+
+        def qhat_inc(x, y):
+            return one[x].bracket(P[y]) + P[x].bracket(one[y])
+
+        Qhat = self._arc_table(qhat_inc)
+
+        def r_inc(x, y):
+            fx, fy = one[x], one[y]
+            fxy = fx.bracket(fy)
+            t = fy.bracket(fx.bracket(fxy)).scaled(3)
+            t = t + fx.bracket(fx.bracket(P[y])) \
+                + fx.bracket(P[x].bracket(fy)) + P[x].bracket(fxy)
+            t = t + fy.bracket(fx.bracket(P[y])) \
+                + fy.bracket(P[x].bracket(fy)) + P[y].bracket(fxy)
+            return t + P[x].bracket(P[y]) \
+                + fx.bracket(Q[y]) + Q[x].bracket(fy)
+
+        R = self._arc_table(r_inc)
+        return P, Q, R, Qhat

@@ -10,6 +10,7 @@ from fatmagnus.algebra import (
     TruncatedTensor,
     _horner,
     _log_coeffs,
+    antipode,
     apply_letter_map,
     dot,
     exp_t,
@@ -123,6 +124,30 @@ def test_exp_log_roundtrip(x):
 @given(tensors(min_degree=1))
 def test_exp_of_negation_inverts(x):
     assert exp_t(x) * exp_t(-x) == TruncatedTensor.unit(x.genus, x.max_degree)
+
+
+@given(genus_1_or_2(tensors))
+def test_antipode_is_an_involution(args):
+    (x,) = args
+    assert antipode(antipode(x)) == x
+
+
+@given(genus_1_or_2(tensors, tensors))
+def test_antipode_reverses_products(args):
+    x, y = args
+    assert antipode(x * y) == antipode(y) * antipode(x)
+
+
+def test_antipode_reverses_words_with_sign():
+    word = TruncatedTensor.from_word(2, (0, 1, 3), Fraction(2, 3))
+    assert antipode(word) == TruncatedTensor.from_word(
+        2, (3, 1, 0), Fraction(-2, 3))
+
+
+@given(genus_1_or_2(lie_tensors))
+def test_antipode_of_exp_is_exp_of_negation(args):
+    (x,) = args
+    assert antipode(exp_t(x)) == exp_t(-x)
 
 
 def test_exp_rejects_constant_term():

@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import figure_eight, random_walk
+from helpers import ReferenceMagnusTable, figure_eight, random_walk
 from fatmagnus.algebra import (
     TruncatedTensor,
     apply_letter_map,
+    exp_t,
     is_lie,
     is_symplectic_matrix,
     matrix_letter_images,
@@ -212,6 +213,35 @@ def test_cached_tables_do_not_keep_their_graph_alive():
     assert ref() is None
 
 
+def test_dropping_a_graph_frees_its_tables_without_the_collector():
+    mg = symplectic_graph(2)
+    refs = [weakref.ref(get_table(mg, n)) for n in (2, 3)]
+    assert refs[0]().mg is mg and refs[0]().graph is mg.graph
+    gc.disable()
+    try:
+        del mg
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_build_equals_the_prefix_sum_reference(g):
+    # degrees 2-6, each on a fixed-seed walk of 0-3 moves
+    rng = random.Random(g)
+    for n in range(2, 7):
+        mg = random_walk(symplectic_graph(g), (n + g) % 4, rng).final
+        ref = ReferenceMagnusTable(mg, n)
+        tab = MagnusTable(mg, n)
+        for h in mg.graph.half_edges:
+            assert tab.ell(h) == ref.ell[h]
+            assert tab.theta(h) == exp_t(ref.ell[h])
+            assert tab.P(h) == ref.P[h]
+            assert tab.Q(h) == ref.Q[h]
+            assert tab.R(h) == ref.R[h]
+            assert tab.qhat(h) == ref.qhat[h]
+
+
 def test_expansion_ignores_the_pi_marking():
     mg = symplectic_graph(2)
     bare = MarkedFatgraph(mg.graph, mg.h)
@@ -351,3 +381,12 @@ def test_table_requires_trivalent_graph():
         MagnusTable(figure_eight(), N)
     with pytest.raises(ValueError, match="trivalent"):
         ell(figure_eight(), 0, N)
+
+
+def test_trivalence_error_names_the_vertex_and_its_valence():
+    mg = figure_eight()
+    v = mg.graph.vertices[1]
+    with pytest.raises(ValueError,
+                       match=rf"vertex 1 \({', '.join(map(str, v))}\) "
+                             rf"has valence 5"):
+        MagnusTable(mg, N)
