@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_MAX_DEGREE = 5
 
@@ -149,23 +149,31 @@ class TruncatedTensor:
     @classmethod
     def letter(cls, genus: int, letter: int,
                max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
-        if not 0 <= letter < 2 * genus:
-            raise ValueError(f"letter {letter} out of range for genus {genus}")
+        return cls.from_terms(genus, {(letter,): 1}, max_degree)
+
+    @classmethod
+    def from_terms(cls, genus: int,
+                   terms: Mapping[tuple[int, ...], Fraction | int],
+                   max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
+        """The sum of c * word over {word: c}, truncated above max_degree."""
         t = cls(genus, max_degree)
-        t.comps[1][letter] = 1
+        for c in {c for word in terms for c in word}:
+            if not 0 <= c < t.nletters:
+                raise ValueError(f"letter {c} out of range for genus {genus}")
+        fracs = {w: Fraction(c) for w, c in terms.items()
+                 if c and len(w) <= max_degree}
+        t.den = lcm(*(c.denominator for c in fracs.values()))
+        for w, c in fracs.items():
+            t.comps[len(w)][_pack(w, t.nletters)] = (
+                c.numerator * (t.den // c.denominator))
+        t._normalize()
         return t
 
     @classmethod
     def from_word(cls, genus: int, word: Sequence[int],
                   coeff: Fraction | int = 1,
                   max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
-        t = cls(genus, max_degree)
-        c = Fraction(coeff)
-        if len(word) > max_degree or c == 0:
-            return t
-        t.den = c.denominator
-        t.comps[len(word)][_pack(word, t.nletters)] = c.numerator
-        return t
+        return cls.from_terms(genus, {tuple(word): coeff}, max_degree)
 
     @classmethod
     def from_vector(cls, genus: int, vec: Sequence[Fraction | int],
@@ -173,16 +181,8 @@ class TruncatedTensor:
         """Degree-1 element with the given coordinates in the letter basis."""
         if len(vec) != 2 * genus:
             raise ValueError("vector length must be 2*genus")
-        fracs = [Fraction(x) for x in vec]
-        den = lcm(*(f.denominator for f in fracs))
-        t = cls(genus, max_degree)
-        t.den = den
-        for i, f in enumerate(fracs):
-            n = f.numerator * (den // f.denominator)
-            if n:
-                t.comps[1][i] = n
-        t._normalize()
-        return t
+        return cls.from_terms(genus, {(i,): x for i, x in enumerate(vec)},
+                              max_degree)
 
     def copy(self) -> "TruncatedTensor":
         t = TruncatedTensor(self.genus, self.max_degree)
@@ -337,41 +337,44 @@ class TruncatedTensor:
 # -- Lie structure --------------------------------------------------------
 
 
+def _right_normed(word: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """[w_1, [w_2, [..., w_k]]] as {word: coefficient}, zeros dropped."""
+    out = {tuple(word[-1:]): 1}
+    for c in reversed(word[:-1]):
+        new: dict[tuple[int, ...], int] = {}
+        for w, n in out.items():
+            new[(c,) + w] = new.get((c,) + w, 0) + n
+            new[w + (c,)] = new.get(w + (c,), 0) - n
+        out = {w: n for w, n in new.items() if n}
+    return out
+
+
 def right_bracketing(genus: int, word: Sequence[int],
                      max_degree: int) -> TruncatedTensor:
     """[w_1, [w_2, [..., w_k]]] as a tensor."""
-    t = TruncatedTensor.letter(genus, word[-1], max_degree)
-    for c in reversed(word[:-1]):
-        t = TruncatedTensor.letter(genus, c, max_degree).bracket(t)
-    return t
-
-
-def _dynkin_left(t: TruncatedTensor) -> TruncatedTensor:
-    """Left-to-right Dynkin map: w_1...w_k -> [[..[w_1,w_2],..],w_k]."""
-    out = TruncatedTensor(t.genus, t.max_degree)
-    for word, coeff in t.terms():
-        if not word:
-            continue
-        b = TruncatedTensor.letter(t.genus, word[0], t.max_degree)
-        for c in word[1:]:
-            b = b.bracket(TruncatedTensor.letter(t.genus, c, t.max_degree))
-        out = out + b.scaled(coeff)
-    return out
+    return TruncatedTensor.from_terms(genus, _right_normed(word), max_degree)
 
 
 def is_lie(t: TruncatedTensor) -> bool:
     """Whether every homogeneous piece lies in the free Lie algebra.
 
-    Uses the Dynkin criterion: a degree-n tensor w is a Lie element iff
-    applying the bracketing map gives n*w.
+    The Dynkin-Specht-Wever criterion, on the integer numerators: a
+    degree-n tensor t = sum_w c_w w is Lie iff sum_w c_w r(w) = n t, with
+    r(w) = [w_1, [w_2, [..., w_n]]].  A constant term is never Lie.
     """
-    for n in range(t.max_degree + 1):
-        part = t.graded(n)
-        if part.is_zero():
+    if t.comps[0]:
+        return False
+    nl = t.nletters
+    for n, comp in enumerate(t.comps[1:], 1):
+        if not comp:
             continue
-        if n == 0:
-            return False
-        if _dynkin_left(part) != part.scaled(n):
+        acc: dict[int, int] = {}
+        for key, c in comp.items():
+            for w, s in _right_normed(_unpack(key, n, nl)).items():
+                k = _pack(w, nl)
+                acc[k] = acc.get(k, 0) + s * c
+        if {k: c for k, c in acc.items() if c} != {
+                k: n * c for k, c in comp.items()}:
             return False
     return True
 
@@ -380,8 +383,9 @@ def lie_decompose(t: TruncatedTensor) -> list[tuple[Fraction, tuple[int, ...]]]:
     """Write a Lie element as a combination of right-bracketed words.
 
     Returns pairs (coeff, word) meaning coeff * [w_1,[w_2,[...,w_k]]],
-    one pair per word in the support: a degree-n Lie element equals
-    1/n times the sum of its word coefficients times their bracketings.
+    one pair per word in the support.  By the Dynkin-Specht-Wever
+    identity that is_lie tests, a degree-n Lie element is 1/n times the
+    sum of its word coefficients times their right-normed bracketings.
     Raises ValueError if the input is not Lie.
     """
     if not is_lie(t):
@@ -538,8 +542,7 @@ def hausdorff_tail(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
 # -- H-coefficient vectors ------------------------------------------------
 
 
-def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int],
-        sign: int = 1) -> Fraction:
+def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:
     """Symplectic pairing of two coordinate vectors in the letter basis."""
     if len(a) != len(b) or len(a) % 2:
         raise ValueError("need two vectors of equal even length")
@@ -547,7 +550,7 @@ def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int],
     total = Fraction(0)
     for i in range(g):
         total += Fraction(a[i]) * Fraction(b[g + i]) - Fraction(a[g + i]) * Fraction(b[i])
-    return sign * total
+    return total
 
 
 def row_reduce(rows: Sequence[Sequence[Fraction | int]]
@@ -583,11 +586,9 @@ def row_reduce(rows: Sequence[Sequence[Fraction | int]]
 
 def symplectic_form(genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
     """omega = sum_i [u_i, v_i] as a degree-2 tensor."""
-    t = TruncatedTensor(genus, max_degree)
-    for i in range(genus):
-        t = t + TruncatedTensor.letter(genus, i, max_degree).bracket(
-            TruncatedTensor.letter(genus, genus + i, max_degree))
-    return t
+    return TruncatedTensor.from_terms(
+        genus, {w: s for i in range(genus)
+                for w, s in _right_normed((i, genus + i)).items()}, max_degree)
 
 
 def apply_letter_map(t: TruncatedTensor,

@@ -5,6 +5,11 @@ three label markings.  The degree-two value is pushed into the subspace
 spanned by symmetrized wedge-square images, where it becomes reversal
 antisymmetric.  Pairing wedges lets the two levels compose along paths
 through a twisted group law with integer coefficients.
+
+Every value in (homology) x (degree-three Lie elements) is built from a
+right-normed presentation {(x, y, z, w): c}, which stands for
+sum c * x (x) [y, [z, w]], and is expanded into letter-slot tensors once,
+by _expand.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
     TruncatedTensor,
-    dot,
+    _right_normed,
     is_lie,
     letter_name,
     lie_pretty,
@@ -51,16 +56,9 @@ LIE_DEGREE = 3
 
 def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
     """Sorted index triple and the permutation sign, 0 on repeats."""
-    if i == j or j == k or i == k:
+    if len({i, j, k}) < 3:
         return (i, j, k), 0
-    sign = 1
-    t = [i, j, k]
-    for a in range(2):
-        for b in range(2 - a):
-            if t[b] > t[b + 1]:
-                t[b], t[b + 1] = t[b + 1], t[b]
-                sign = -sign
-    return (t[0], t[1], t[2]), sign
+    return tuple(sorted((i, j, k))), (-1) ** ((i > j) + (i > k) + (j > k))
 
 
 class Lambda3:
@@ -84,15 +82,8 @@ class Lambda3:
             if not all(0 <= x < n for x in (i, j, k)):
                 raise ValueError("letter index out of range")
             key, sign = _sort_triple(i, j, k)
-            if sign == 0:
-                continue
-            c = Fraction(c) * sign
-            got = store.get(key, Fraction(0)) + c
-            if got:
-                store[key] = got
-            else:
-                store.pop(key, None)
-        self.coeffs = store
+            store[key] = store.get(key, 0) + Fraction(c) * sign
+        self.coeffs = {key: c for key, c in store.items() if c}
 
     @classmethod
     def zero(cls, genus: int) -> "Lambda3":
@@ -176,11 +167,9 @@ def tensor_components(values: Sequence[TruncatedTensor]
     components.  The contraction against the bracket is the same number
     in either picture.
     """
-    if len(values) % 2 or not values:
+    if not values or len(values) != 2 * values[0].genus:
         raise ValueError("need one value per letter")
     g = values[0].genus
-    if len(values) != 2 * g:
-        raise ValueError("need one value per letter")
     n = values[0].max_degree
     out = [TruncatedTensor(g, n) for _ in range(2 * g)]
     for k, v in enumerate(values):
@@ -190,29 +179,45 @@ def tensor_components(values: Sequence[TruncatedTensor]
     return tuple(out)
 
 
-def _zero_components(genus: int) -> list[TruncatedTensor]:
-    return [TruncatedTensor(genus, LIE_DEGREE) for _ in range(2 * genus)]
+# a right-normed presentation {(x, y, z, w): c}: sum c * x (x) [y, [z, w]]
+Presentation = dict[tuple[int, int, int, int], Fraction]
 
 
-def _letter(genus: int, i: int) -> TruncatedTensor:
-    return TruncatedTensor.letter(genus, i, LIE_DEGREE)
+def _expand(genus: int, pres: Presentation) -> list[TruncatedTensor]:
+    """The letter-slot components a presentation stands for."""
+    slots: list[dict] = [{} for _ in range(2 * genus)]
+    for (x, *inner), c in pres.items():
+        for w, s in _right_normed(inner).items():
+            slots[x][w] = slots[x].get(w, 0) + s * c
+    return [TruncatedTensor.from_terms(genus, t, LIE_DEGREE) for t in slots]
 
 
 def _check_components(comps: Sequence[TruncatedTensor],
                       degree: int) -> int:
-    if len(comps) % 2 or not comps:
+    if not comps or len(comps) != 2 * comps[0].genus:
         raise ValueError("need one component per letter")
     g = comps[0].genus
-    if len(comps) != 2 * g:
-        raise ValueError("need one component per letter")
-    for t in comps:
+    for j, t in enumerate(comps):
+        slot = letter_name(g, j)
         if t.genus != g:
-            raise ValueError("genus mismatch")
+            raise ValueError(f"genus mismatch: component {slot} has genus "
+                             f"{t.genus}, not {g}")
         if any(len(w) != degree for w, _ in t.terms()):
-            raise ValueError(f"component is not pure of degree {degree}")
+            raise ValueError(
+                f"component {slot} is not pure of degree {degree}")
         if not is_lie(t):
-            raise ValueError("component is not a Lie element")
+            raise ValueError(f"component {slot} is not a Lie element")
     return g
+
+
+def _wedge_words(xi: Lambda3) -> list[dict[tuple[int, int], Fraction]]:
+    # slot i of a^b^c carries -[b, c], cyclically
+    out: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(2 * xi.genus)]
+    for (i, j, k), c in xi.terms():
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            out[x][(y, z)] = out[x].get((y, z), 0) - c
+            out[x][(z, y)] = out[x].get((z, y), 0) + c
+    return out
 
 
 def wedge_components(xi: Lambda3) -> tuple[TruncatedTensor, ...]:
@@ -222,31 +227,29 @@ def wedge_components(xi: Lambda3) -> tuple[TruncatedTensor, ...]:
     degree-one value of a move has exactly the components of its label
     wedge under this map.
     """
-    g = xi.genus
-    out = [TruncatedTensor(g, 2) for _ in range(2 * g)]
-    for (i, j, k), c in xi.terms():
-        li, lj, lk = (TruncatedTensor.letter(g, x, 2) for x in (i, j, k))
-        out[i] = out[i] - lj.bracket(lk).scaled(c)
-        out[j] = out[j] - lk.bracket(li).scaled(c)
-        out[k] = out[k] - li.bracket(lj).scaled(c)
-    return tuple(out)
+    return tuple(TruncatedTensor.from_terms(xi.genus, w, 2)
+                 for w in _wedge_words(xi))
 
 
-def _wedge_matrix(t: TruncatedTensor) -> list[list[Fraction]]:
-    """Antisymmetric coefficient matrix of a degree-two Lie element."""
-    g = t.genus
-    if any(len(w) != 2 for w, _ in t.terms()):
-        raise ValueError("expected a pure degree-two element")
-    if not is_lie(t):
-        raise ValueError("expected a Lie element")
-    S = [[Fraction(0)] * (2 * g) for _ in range(2 * g)]
-    for w, c in t.terms():
-        i, j = w
-        if i < j:
-            # the (j, i) word of the same Lie element carries -c
-            S[i][j] += c
-            S[j][i] -= c
-    return S
+def _pairing_words(s: TruncatedTensor, t: TruncatedTensor) -> list[dict]:
+    """The words of two degree-two Lie elements, validated."""
+    if s.genus != t.genus:
+        raise ValueError("genus mismatch")
+    for which, x in (("first", s), ("second", t)):
+        if any(len(w) != 2 for w, _ in x.terms()):
+            raise ValueError(f"{which} argument is not a pure degree-two element")
+        if not is_lie(x):
+            raise ValueError(f"{which} argument is not a Lie element")
+    return [dict(s.terms()), dict(t.terms())]
+
+
+def _add_pairing(pres: Presentation, s: dict, t: dict, scale: int = 1) -> None:
+    """Add scale * varpi(s, t), given the degree-two words of s and t:
+    t = (1/2) sum t_kl [k, l], so key (i, j, k, l) gets s_ij t_kl / 2."""
+    for (i, j), a in s.items():
+        for (k, l), b in t.items():
+            key = (i, j, k, l)
+            pres[key] = pres.get(key, 0) + Fraction(scale, 2) * a * b
 
 
 def varpi(s: TruncatedTensor, t: TruncatedTensor
@@ -258,47 +261,42 @@ def varpi(s: TruncatedTensor, t: TruncatedTensor
     a (x) [b, t] - b (x) [a, t].  Symmetric inputs land in the
     symmetrized subspace; see symmetric_pair.
     """
-    if s.genus != t.genus:
-        raise ValueError("genus mismatch")
-    g = s.genus
-    S = _wedge_matrix(s)
-    _wedge_matrix(t)  # validates the second argument
-    t3 = t.truncated(LIE_DEGREE)
-    out = _zero_components(g)
-    for i in range(2 * g):
-        for j in range(2 * g):
-            if S[i][j]:
-                out[i] = out[i] + _letter(g, j).bracket(t3).scaled(S[i][j])
-    return tuple(out)
+    pres: Presentation = {}
+    _add_pairing(pres, *_pairing_words(s, t))
+    return tuple(_expand(s.genus, pres))
 
 
-def _bar_components(comps: Sequence[TruncatedTensor]
-                    ) -> list[TruncatedTensor]:
-    g = comps[0].genus
-    out = _zero_components(g)
-    quarter = Fraction(1, 4)
+def _bar_components(comps: Sequence[TruncatedTensor]) -> list[TruncatedTensor]:
+    """The symmetrizing projection of pure degree-three Lie components.
+
+    By Dynkin-Specht-Wever a degree-three Lie element t is (1/3) sum_w
+    c_w [w_1, [w_2, w_3]], so slot x presents as {(x, w_1, w_2, w_3):
+    c_w / 3}.  The quarter rule sends each key (x, y, z, w) to
+    (x, y, z, w) and (z, w, x, y) with +1/4, and to (y, x, z, w) and
+    (w, z, x, y) with -1/4.
+    """
+    pres: Presentation = {}
     for x, t in enumerate(comps):
-        for (y, z, w), c in t.truncated(LIE_DEGREE).terms():
-            # right-normed presentation of a Lie element: t = (1/3) sum
-            # of [w1,[w2,w3]] over its words, then the quarter rule
-            c3 = Fraction(c, 3)
-            inner = _letter(g, z).bracket(_letter(g, w))
-            outer = _letter(g, x).bracket(_letter(g, y))
-            out[x] = out[x] + _letter(g, y).bracket(inner).scaled(c3 * quarter)
-            out[y] = out[y] - _letter(g, x).bracket(inner).scaled(c3 * quarter)
-            out[z] = out[z] + _letter(g, w).bracket(outer).scaled(c3 * quarter)
-            out[w] = out[w] - _letter(g, z).bracket(outer).scaled(c3 * quarter)
-    return out
+        for (y, z, w), c in t.terms():
+            q = c / 12
+            for key, v in (((x, y, z, w), q), ((y, x, z, w), -q),
+                           ((z, w, x, y), q), ((w, z, x, y), -q)):
+                pres[key] = pres.get(key, 0) + v
+    return _expand(comps[0].genus, pres)
 
 
 class H2Element:
     """A tensor in the symmetrized degree-two target space.
 
     Stored as one degree-three Lie component per letter slot.  The
-    constructor enforces membership: the bracket contraction vanishes
-    and the symmetrizing projection fixes the element.  Raw move and
-    path values generally lie outside this space and enter it only
-    through bar_project.
+    public constructor enforces membership: each component is a pure
+    degree-three Lie element, the bracket contraction vanishes and the
+    symmetrizing projection fixes the element.  bar_project,
+    symmetric_pair and morita_pair validate their inputs instead and
+    return their results unchecked, since they land in the space by
+    construction; the test suite checks that the constructor accepts
+    them.  Raw move and path values generally lie outside this space
+    and enter it only through bar_project.
     """
 
     __slots__ = ("genus", "components")
@@ -319,15 +317,16 @@ class H2Element:
 
     @classmethod
     def zero(cls, genus: int) -> "H2Element":
-        return cls(_zero_components(genus))
+        return cls([TruncatedTensor(genus, LIE_DEGREE)] * (2 * genus))
 
     @classmethod
     def _trusted(cls, genus: int,
                  components: Sequence[TruncatedTensor]) -> "H2Element":
         """Wrap fresh components without validation.
 
-        Only for sums, negatives and multiples of elements: the space is
-        closed under them, so checking membership again would be waste.
+        Only for sums, negatives and multiples of elements, which the
+        space is closed under, and for the outputs of the projections
+        into it (bar_project, symmetric_pair, morita_pair).
         """
         el = object.__new__(cls)
         el.genus = genus
@@ -390,11 +389,8 @@ class H2Element:
                 if r > s:
                     r, s, sign = s, r, -sign
                 key = tuple(sorted(((p, q), (r, s))))
-                got = acc.get(key, Fraction(0)) + Fraction(c, 12) * sign
-                if got:
-                    acc[key] = got
-                else:
-                    acc.pop(key, None)
+                acc[key] = acc.get(key, 0) + Fraction(c, 12) * sign
+        acc = {key: c for key, c in acc.items() if c}
         supports = {frozenset(p + q) for (p, q) in acc}
         for sup in supports:
             if len(sup) != 4:
@@ -412,12 +408,8 @@ class H2Element:
                          sum(1 for x in trial if x.denominator != 1))
                 if best is None or score < best[0]:
                     best = (score, trial)
-            for k, v in zip(keys, best[1]):
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
-        return [(c, a, b) for (a, b), c in sorted(acc.items())]
+            acc.update(zip(keys, best[1]))
+        return [(c, a, b) for (a, b), c in sorted(acc.items()) if c]
 
     def symbol_form(self) -> str:
         name = [letter_name(self.genus, x) for x in range(2 * self.genus)]
@@ -435,9 +427,13 @@ class H2Element:
 
 
 def symmetric_pair(s: TruncatedTensor, t: TruncatedTensor) -> H2Element:
-    """Symmetrized pairing of two degree-two Lie elements."""
-    a, b = varpi(s, t), varpi(t, s)
-    return H2Element([x + y for x, y in zip(a, b)])
+    """Symmetrized pairing varpi(s, t) + varpi(t, s) of two degree-two
+    Lie elements."""
+    a, b = _pairing_words(s, t)
+    pres: Presentation = {}
+    _add_pairing(pres, a, b)
+    _add_pairing(pres, b, a)
+    return H2Element._trusted(s.genus, _expand(s.genus, pres))
 
 
 def bar_project(comps: Sequence[TruncatedTensor]) -> H2Element:
@@ -446,44 +442,35 @@ def bar_project(comps: Sequence[TruncatedTensor]) -> H2Element:
     Linear, idempotent, the identity on symmetric_pair images; the
     quarter rule on a single right-normed bracket spreads it over the
     four letters involved.  Raw move and path values generally lie
-    outside the symmetrized space; this is how they enter it.
+    outside the symmetrized space; this is how they enter it.  The
+    input components are validated as pure degree-three Lie elements;
+    the projection runs once and its output is not re-checked.
     """
-    _check_components(comps, LIE_DEGREE)
-    return H2Element(_bar_components([t.truncated(LIE_DEGREE)
-                                      for t in comps]))
+    g = _check_components(comps, LIE_DEGREE)
+    return H2Element._trusted(g, _bar_components(
+        [t.truncated(LIE_DEGREE) for t in comps]))
 
 
 def morita_pair(xi: Lambda3, eta: Lambda3) -> H2Element:
     """Skew pairing of wedge triples into the symmetrized space.
 
-    Nine terms per pair of basis wedges: each letter of the first
-    triple is paired against each letter of the second, weighted by
-    their intersection number, with the remaining brackets joined
-    symmetrically.  This is the twist the path group law adds.
+    With W and V the wedge_components of xi and eta, this is
+    sum_i symmetric_pair(W[u_i], V[v_i]) - symmetric_pair(W[v_i], V[u_i]):
+    each letter of a triple of xi is paired against each letter of a
+    triple of eta, weighted by their intersection number, with the
+    remaining brackets joined symmetrically.  This is the twist the
+    path group law adds.
     """
     if xi.genus != eta.genus:
         raise ValueError("genus mismatch")
     g = xi.genus
-    unit = [[int(m == x) for m in range(2 * g)] for x in range(2 * g)]
-    out = _zero_components(g)
-    for (i, j, k), cx in xi.terms():
-        xs = (i, j, k)
-        for (p, q, r), cy in eta.terms():
-            ys = (p, q, r)
-            for a in range(3):
-                xbr = _letter(g, xs[(a + 1) % 3]).bracket(
-                    _letter(g, xs[(a + 2) % 3]))
-                for b in range(3):
-                    s = dot(unit[xs[a]], unit[ys[b]])
-                    if not s:
-                        continue
-                    ybr = _letter(g, ys[(b + 1) % 3]).bracket(
-                        _letter(g, ys[(b + 2) % 3]))
-                    piece = [u + v for u, v in zip(varpi(xbr, ybr),
-                                                   varpi(ybr, xbr))]
-                    for m in range(2 * g):
-                        out[m] = out[m] + piece[m].scaled(cx * cy * s)
-    return H2Element(out)
+    W, V = _wedge_words(xi), _wedge_words(eta)
+    pres: Presentation = {}
+    for i in range(g):
+        for a, b, sign in ((W[i], V[g + i], 1), (W[g + i], V[i], -1)):
+            _add_pairing(pres, a, b, sign)
+            _add_pairing(pres, b, a, sign)
+    return H2Element._trusted(g, _expand(g, pres))
 
 
 def j1(move: WhiteheadMove) -> Lambda3:

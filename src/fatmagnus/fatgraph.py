@@ -92,9 +92,9 @@ class Fatgraph:
         self.tail = tail
 
         seen: set[int] = set()
-        for v in self.vertices:
+        for vi, v in enumerate(self.vertices):
             if not v:
-                raise ValueError("empty vertex")
+                raise ValueError(f"empty vertex {vi} {v}: no half-edges")
             for h in v:
                 if h in seen:
                     raise ValueError(f"half-edge {h} listed twice")
@@ -129,10 +129,11 @@ class Fatgraph:
         for vi, v in enumerate(self.vertices):
             want = 1 if vi == self.vertex_of[tail] else 3
             if len(v) == 1 and vi != self.vertex_of[tail]:
-                raise ValueError("univalent vertex away from the tail")
+                raise ValueError(
+                    f"univalent vertex {vi} {v} away from the tail {tail}")
             if len(v) < want or (want == 1 and len(v) != 1):
                 raise ValueError(
-                    f"vertex {v} has valence {len(v)}, expected {want}")
+                    f"vertex {vi} {v} has valence {len(v)}, expected {want}")
 
         self._check_connected()
         self._cycle = self._trace_boundary()

@@ -20,6 +20,7 @@ from .algebra import (
     dot,
     hausdorff_tail,
     is_lie,
+    letter_name,
     row_reduce,
 )
 from .fatgraph import MarkedFatgraph, MovePath, WhiteheadMove
@@ -96,12 +97,12 @@ class GradedTau:
                 raise ValueError("degrees start at 1")
             if len(vals) != 2 * self.genus:
                 raise ValueError(f"degree {k} needs one value per letter")
-            for v in vals:
+            for i, v in enumerate(vals):
+                where = f"degree-{k} value of {letter_name(self.genus, i)}"
                 if v.graded(k + 1) != v:
-                    raise ValueError(
-                        f"degree-{k} value is not pure of degree {k + 1}")
+                    raise ValueError(f"{where} is not pure of degree {k + 1}")
                 if not is_lie(v):
-                    raise ValueError(f"degree-{k} value is not a Lie element")
+                    raise ValueError(f"{where} is not a Lie element")
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.values)

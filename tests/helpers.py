@@ -325,3 +325,143 @@ class ReferenceMagnusTable:
 
         R = self._arc_table(r_inc)
         return P, Q, R, Qhat
+
+
+# -- the bracket-product Lie and cocycle routines, kept as references for
+# the word-level right-normed expansion ---------------------------------
+
+
+def reference_right_bracketing(genus, word, max_degree):
+    """[w_1, [w_2, [..., w_k]]] as a tensor."""
+    t = TruncatedTensor.letter(genus, word[-1], max_degree)
+    for c in reversed(word[:-1]):
+        t = TruncatedTensor.letter(genus, c, max_degree).bracket(t)
+    return t
+
+
+def _dynkin_left(t):
+    """Left-to-right Dynkin map: w_1...w_k -> [[..[w_1,w_2],..],w_k]."""
+    out = TruncatedTensor(t.genus, t.max_degree)
+    for word, coeff in t.terms():
+        if not word:
+            continue
+        b = TruncatedTensor.letter(t.genus, word[0], t.max_degree)
+        for c in word[1:]:
+            b = b.bracket(TruncatedTensor.letter(t.genus, c, t.max_degree))
+        out = out + b.scaled(coeff)
+    return out
+
+
+def reference_is_lie(t):
+    """Whether every homogeneous piece lies in the free Lie algebra.
+
+    Uses the Dynkin criterion: a degree-n tensor w is a Lie element iff
+    applying the bracketing map gives n*w.
+    """
+    for n in range(t.max_degree + 1):
+        part = t.graded(n)
+        if part.is_zero():
+            continue
+        if n == 0:
+            return False
+        if _dynkin_left(part) != part.scaled(n):
+            return False
+    return True
+
+
+def _zero_components(genus):
+    from fatmagnus.cocycle import LIE_DEGREE
+
+    return [TruncatedTensor(genus, LIE_DEGREE) for _ in range(2 * genus)]
+
+
+def _letter(genus, i):
+    from fatmagnus.cocycle import LIE_DEGREE
+
+    return TruncatedTensor.letter(genus, i, LIE_DEGREE)
+
+
+def _wedge_matrix(t):
+    """Antisymmetric coefficient matrix of a degree-two Lie element."""
+    g = t.genus
+    if any(len(w) != 2 for w, _ in t.terms()):
+        raise ValueError("expected a pure degree-two element")
+    if not reference_is_lie(t):
+        raise ValueError("expected a Lie element")
+    S = [[Fraction(0)] * (2 * g) for _ in range(2 * g)]
+    for w, c in t.terms():
+        i, j = w
+        if i < j:
+            # the (j, i) word of the same Lie element carries -c
+            S[i][j] += c
+            S[j][i] -= c
+    return S
+
+
+def reference_varpi(s, t):
+    """One-sided pairing of two degree-two Lie elements."""
+    from fatmagnus.cocycle import LIE_DEGREE
+
+    if s.genus != t.genus:
+        raise ValueError("genus mismatch")
+    g = s.genus
+    S = _wedge_matrix(s)
+    _wedge_matrix(t)  # validates the second argument
+    t3 = t.truncated(LIE_DEGREE)
+    out = _zero_components(g)
+    for i in range(2 * g):
+        for j in range(2 * g):
+            if S[i][j]:
+                out[i] = out[i] + _letter(g, j).bracket(t3).scaled(S[i][j])
+    return tuple(out)
+
+
+def reference_bar_components(comps):
+    """The quarter rule through bracket products, one term at a time."""
+    from fatmagnus.cocycle import LIE_DEGREE
+
+    g = comps[0].genus
+    out = _zero_components(g)
+    quarter = Fraction(1, 4)
+    for x, t in enumerate(comps):
+        for (y, z, w), c in t.truncated(LIE_DEGREE).terms():
+            # right-normed presentation of a Lie element: t = (1/3) sum
+            # of [w1,[w2,w3]] over its words, then the quarter rule
+            c3 = Fraction(c, 3)
+            inner = _letter(g, z).bracket(_letter(g, w))
+            outer = _letter(g, x).bracket(_letter(g, y))
+            out[x] = out[x] + _letter(g, y).bracket(inner).scaled(c3 * quarter)
+            out[y] = out[y] - _letter(g, x).bracket(inner).scaled(c3 * quarter)
+            out[z] = out[z] + _letter(g, w).bracket(outer).scaled(c3 * quarter)
+            out[w] = out[w] - _letter(g, z).bracket(outer).scaled(c3 * quarter)
+    return out
+
+
+def reference_morita_pair(xi, eta):
+    """The nine-term skew pairing of wedge triples."""
+    from fatmagnus.algebra import dot
+    from fatmagnus.cocycle import H2Element
+
+    if xi.genus != eta.genus:
+        raise ValueError("genus mismatch")
+    g = xi.genus
+    unit = [[int(m == x) for m in range(2 * g)] for x in range(2 * g)]
+    out = _zero_components(g)
+    for (i, j, k), cx in xi.terms():
+        xs = (i, j, k)
+        for (p, q, r), cy in eta.terms():
+            ys = (p, q, r)
+            for a in range(3):
+                xbr = _letter(g, xs[(a + 1) % 3]).bracket(
+                    _letter(g, xs[(a + 2) % 3]))
+                for b in range(3):
+                    s = dot(unit[xs[a]], unit[ys[b]])
+                    if not s:
+                        continue
+                    ybr = _letter(g, ys[(b + 1) % 3]).bracket(
+                        _letter(g, ys[(b + 2) % 3]))
+                    piece = [u + v for u, v in zip(reference_varpi(xbr, ybr),
+                                                   reference_varpi(ybr, xbr))]
+                    for m in range(2 * g):
+                        out[m] = out[m] + piece[m].scaled(cx * cy * s)
+    return H2Element(out)

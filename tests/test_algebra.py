@@ -35,7 +35,9 @@ from helpers import (
     reference_apply_letter_map,
     reference_exp_t,
     reference_ia_apply,
+    reference_is_lie,
     reference_log_t,
+    reference_right_bracketing,
     tensors,
 )
 
@@ -261,6 +263,53 @@ def test_is_lie_detects():
     assert is_lie(TruncatedTensor.zero(1))
 
 
+@st.composite
+def is_lie_inputs(draw):
+    """A genus 1-3, degree 1-6 tensor of one of four kinds: Lie, Lie
+    plus one stray word, random words, or Lie plus a constant term."""
+    g, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["lie", "perturbed", "words", "constant"]))
+    if kind == "words":
+        return kind, draw(tensors(g, n, min_degree=1, max_terms=4))
+    t = draw(lie_tensors(g, n, max_terms=3))
+    if kind == "perturbed":
+        t = t + draw(tensors(g, n, min_degree=min(2, n), max_terms=1))
+    if kind == "constant":
+        t = t + TruncatedTensor.unit(g, n).scaled(draw(coeffs))
+    return kind, t
+
+
+@given(is_lie_inputs())
+@settings(max_examples=150, deadline=None)
+def test_is_lie_equals_the_dynkin_product_reference(kind_t):
+    kind, t = kind_t
+    got = is_lie(t)
+    assert got == reference_is_lie(t)
+    if kind == "lie":
+        assert got
+    if kind == "constant":
+        assert not got
+
+
+@given(st.integers(1, 3).flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(st.integers(0, 2 * g - 1), min_size=1, max_size=6),
+    st.integers(1, 6))))
+@settings(max_examples=80, deadline=None)
+def test_right_bracketing_equals_the_bracket_product_reference(args):
+    g, word, n = args
+    assert right_bracketing(g, word, n) == reference_right_bracketing(g, word, n)
+
+
+@pytest.mark.parametrize("word, bad", [((2,), 2), ((0, 5), 5), ((-1,), -1)])
+def test_words_with_out_of_range_letters_are_rejected(word, bad):
+    # these once printed as u1, u1.v1 and v1 at genus 1 but stored a
+    # packed key no in-range word has
+    with pytest.raises(ValueError, match=rf"letter {bad} out of range for genus 1"):
+        TruncatedTensor.from_word(1, word)
+    with pytest.raises(ValueError, match=rf"letter {bad} out of range for genus 1"):
+        TruncatedTensor.from_terms(1, {(0,): 1, word: 2})
+
+
 @given(lie_tensors())
 def test_lie_decompose_reconstructs(t):
     rec = TruncatedTensor(t.genus, t.max_degree)
@@ -337,7 +386,6 @@ def test_dot_on_basis():
     assert dot([0, 1], [1, 0]) == -1
     assert dot([1, 0, 0, 0], [0, 0, 1, 0]) == 1
     assert dot([1, 0, 0, 0], [0, 1, 0, 0]) == 0
-    assert dot([1, 0], [0, 1], sign=-1) == -1
 
 
 @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4),

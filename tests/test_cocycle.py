@@ -11,8 +11,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import lie_tensors, random_walk
+from helpers import (
+    coeffs,
+    lie_tensors,
+    random_walk,
+    reference_bar_components,
+    reference_morita_pair,
+    reference_varpi,
+)
 from fatmagnus.algebra import TruncatedTensor
 from fatmagnus.cocycle import (
     LIE_DEGREE,
@@ -111,6 +119,11 @@ def test_varpi_of_zero_and_validation():
         varpi(letter(g, 0), br)
     with pytest.raises(ValueError, match="not a Lie|Lie element"):
         varpi(TruncatedTensor.from_word(g, (0, 1), max_degree=3), br)
+    # the message says which argument is at fault
+    with pytest.raises(ValueError, match="second argument is not a pure"):
+        varpi(br, letter(g, 0))
+    with pytest.raises(ValueError, match="first argument is not a Lie"):
+        symmetric_pair(TruncatedTensor.from_word(g, (0, 1), max_degree=3), br)
     with pytest.raises(ValueError, match="genus mismatch"):
         varpi(br, TruncatedTensor.letter(1, 0, 3).bracket(
             TruncatedTensor.letter(1, 1, 3)))
@@ -207,6 +220,13 @@ def test_target_space_validation():
     xy = TruncatedTensor.from_word(g, (0, 1, 1), max_degree=3)
     with pytest.raises(ValueError, match="Lie element"):
         H2Element([xy, z])
+    # the messages name the letter slot at fault
+    with pytest.raises(ValueError, match="component v1 is not pure"):
+        H2Element([z, letter(g, 0)])
+    with pytest.raises(ValueError, match="component u1 is not a Lie element"):
+        bar_project([xy, z])
+    with pytest.raises(ValueError, match="genus mismatch: component v1"):
+        H2Element([z, TruncatedTensor(2, LIE_DEGREE)])
     # a lone bracket value escapes under the contraction
     bad = [letter(g, 0).bracket(letter(g, 0).bracket(letter(g, 1))), z]
     with pytest.raises(ValueError, match="bracket contraction"):
@@ -252,6 +272,123 @@ def test_raw_degree_two_values_are_usually_not_symmetrized():
             continue
         moved += list(bar_project(raw).components) != raw
     assert moved
+
+
+# -- the word-level routines against the bracket-product references -------
+
+
+@st.composite
+def quadratic_lie(draw, genus):
+    """A degree-two Lie element at truncation 2 or 3."""
+    n = draw(st.sampled_from([2, LIE_DEGREE]))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, 2 * genus - 1)) for _ in range(2))
+        c = draw(coeffs)
+        terms[(i, j)] = terms.get((i, j), 0) + c
+        terms[(j, i)] = terms.get((j, i), 0) - c
+    return TruncatedTensor.from_terms(genus, terms, n)
+
+
+@st.composite
+def wedges(draw, genus):
+    triples = st.tuples(*[st.integers(0, 2 * genus - 1)] * 3)
+    return Lambda3(genus, draw(st.dictionaries(
+        triples, st.integers(-3, 3), max_size=3)))
+
+
+def at_genus_1_to_3(strategy, count):
+    return st.integers(1, 3).flatmap(
+        lambda g: st.tuples(*[strategy(g)] * count))
+
+
+@given(at_genus_1_to_3(quadratic_lie, 2))
+@settings(max_examples=60, deadline=None)
+def test_pairings_equal_the_bracket_product_references(st_):
+    s, t = st_
+    assert varpi(s, t) == reference_varpi(s, t)
+    want = [a + b for a, b in zip(reference_varpi(s, t), reference_varpi(t, s))]
+    assert list(symmetric_pair(s, t).components) == want
+
+
+@st.composite
+def degree_three_components(draw, genus):
+    return [draw(lie_tensors(genus, LIE_DEGREE, max_terms=2)).graded(LIE_DEGREE)
+            for _ in range(2 * genus)]
+
+
+@given(st.integers(1, 3).flatmap(degree_three_components))
+@settings(max_examples=40, deadline=None)
+def test_bar_projection_equals_the_bracket_product_reference(comps):
+    assert list(bar_project(comps).components) == reference_bar_components(comps)
+
+
+@given(at_genus_1_to_3(wedges, 2))
+@settings(max_examples=60, deadline=None)
+def test_wedge_pairing_equals_the_nine_term_reference(pair):
+    xi, eta = pair
+    assert morita_pair(xi, eta) == reference_morita_pair(xi, eta)
+
+
+def genus_3_walk_wedges(per_seed=6):
+    """Nonzero j1 wedges from 40-move genus-3 walks."""
+    out = []
+    for seed in (0, 1, 3):
+        got = [w for w in map(j1, walk_moves(3, 40, seed)) if not w.is_zero()]
+        out.append(got[:per_seed])
+    return out
+
+
+def test_wedge_pairing_of_walk_wedges_equals_the_nine_term_reference():
+    pairs = nonzero = 0
+    for ws in genus_3_walk_wedges():
+        for xi in ws:
+            for eta in ws:
+                got = morita_pair(xi, eta)
+                assert got == reference_morita_pair(xi, eta)
+                pairs += 1
+                nonzero += not got.is_zero()
+    assert pairs >= 40 and nonzero >= 10
+
+
+# -- the public constructor admits what the projections build --------------
+
+
+def test_constructor_admits_bar_projections_of_raw_move_values():
+    checked = 0
+    for g, seed, steps in ((2, 5, 10), (3, 1, 6)):
+        for mv in walk_moves(g, steps, seed):
+            raw = [t.truncated(LIE_DEGREE) for t in
+                   tensor_components(list(tau_move(mv, 2).tau.values[2]))]
+            x = bar_project(raw)
+            assert H2Element(x.components) == x
+            checked += not x.is_zero()
+    assert checked >= 8
+
+
+@given(at_genus_1_to_3(quadratic_lie, 2))
+@settings(max_examples=40, deadline=None)
+def test_constructor_admits_symmetric_pairs(st_):
+    x = symmetric_pair(*st_)
+    assert H2Element(x.components) == x
+
+
+@given(st.tuples(wedges(3), wedges(3)))
+@settings(max_examples=30, deadline=None)
+def test_constructor_admits_genus_3_wedge_pairings(pair):
+    x = morita_pair(*pair)
+    assert H2Element(x.components) == x
+
+
+def test_constructor_admits_wedge_pairings_of_genus_3_walks():
+    nonzero = 0
+    for ws in genus_3_walk_wedges(per_seed=4):
+        for xi in ws:
+            for eta in ws:
+                x = morita_pair(xi, eta)
+                assert H2Element(x.components) == x
+                nonzero += not x.is_zero()
+    assert nonzero >= 4
 
 
 # -- printed regressions ---------------------------------------------------

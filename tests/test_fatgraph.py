@@ -94,12 +94,23 @@ def test_rejects_uncovered_half_edge():
 def test_rejects_low_valence():
     with pytest.raises(ValueError, match="valence"):
         Fatgraph([(0,), (1, 2), (3,)], {0: (0, 1), 1: (2, 3)}, tail=0)
+    with pytest.raises(ValueError, match=r"vertex 1 \(1, 2\) has valence 2"):
+        Fatgraph([(0,), (1, 2), (3, 4, 5)],
+                 {0: (0, 1), 1: (2, 3), 2: (4, 5)}, tail=0)
 
 
 def test_rejects_second_univalent_vertex():
     # a bare edge is a tree with two univalent ends
     with pytest.raises(ValueError, match="univalent"):
         Fatgraph([(0,), (1,)], {0: (0, 1)}, tail=0)
+    # the message names the vertex and its half-edges
+    with pytest.raises(ValueError, match=r"univalent vertex 1 \(1,\) away"):
+        Fatgraph([(0,), (1,)], {0: (0, 1)}, tail=0)
+
+
+def test_rejects_empty_vertex():
+    with pytest.raises(ValueError, match=r"empty vertex 1 \(\)"):
+        Fatgraph([(0,), (), (1, 2, 3)], {0: (0, 1), 1: (2, 3)}, tail=0)
 
 
 def test_rejects_disconnected():

@@ -138,6 +138,12 @@ def test_shape_and_degree_validation():
     xy = TruncatedTensor.from_word(1, (0, 1), max_degree=3)
     with pytest.raises(ValueError, match="not a Lie element"):
         GradedTau(1, {1: (xy, xy)})
+    # the messages name the letter slot at fault
+    quad = TruncatedTensor.letter(1, 0, 3).bracket(TruncatedTensor.letter(1, 1, 3))
+    with pytest.raises(ValueError, match="degree-1 value of v1 is not pure"):
+        GradedTau(1, {1: (quad, letter)})
+    with pytest.raises(ValueError, match="degree-1 value of v1 is not a Lie"):
+        GradedTau(1, {1: (quad, xy)})
     with pytest.raises(ValueError, match="unknown sector"):
         SectorContribution("V", {})
     with pytest.raises(ValueError, match="need one value per letter"):
