@@ -6,10 +6,14 @@ spanned by symmetrized wedge-square images, where it becomes reversal
 antisymmetric.  Pairing wedges lets the two levels compose along paths
 through a twisted group law with integer coefficients.
 
-Every value in (homology) x (degree-three Lie elements) is built from a
-right-normed presentation {(x, y, z, w): c}, which stands for
-sum c * x (x) [y, [z, w]], and is expanded into letter-slot tensors once,
-by _expand.
+Values in (homology) x (Lie elements) are held as letter-slot
+components c_k, one Lie element per letter.  A move's letter values
+enter through tensor_components, the signed permutation that
+johnson.dual_vector owns, and the bracket contraction that membership
+asks to vanish is johnson's sum_k [x_k, c_k].  Every degree-three value
+is built from a right-normed presentation {(x, y, z, w): c}, which
+stands for sum c * x (x) [y, [z, w]], and is expanded into letter-slot
+tensors once, by _expand.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .algebra import (
     signed_sum,
 )
 from .fatgraph import MovePath, WhiteheadMove
-from .johnson import dual_vector, tau_move
+from .johnson import _contract, tau_move, tensor_components
 
 __all__ = [
     "LIE_DEGREE",
@@ -157,28 +161,6 @@ class Lambda3:
         return f"Lambda3(genus={self.genus}, {self})"
 
 
-def tensor_components(values: Sequence[TruncatedTensor]
-                      ) -> tuple[TruncatedTensor, ...]:
-    """Letter-slot components of the tensor behind a letter-value list.
-
-    A map on homology given by its values on the letters corresponds,
-    through the symplectic duality fixed in dual_vector, to a tensor
-    with one Lie component per letter slot; this returns those
-    components.  The contraction against the bracket is the same number
-    in either picture.
-    """
-    if not values or len(values) != 2 * values[0].genus:
-        raise ValueError("need one value per letter")
-    g = values[0].genus
-    n = values[0].max_degree
-    out = [TruncatedTensor(g, n) for _ in range(2 * g)]
-    for k, v in enumerate(values):
-        for j, cj in enumerate(dual_vector(g, k)):
-            if cj:
-                out[j] = out[j] + v.scaled(cj)
-    return tuple(out)
-
-
 # a right-normed presentation {(x, y, z, w): c}: sum c * x (x) [y, [z, w]]
 Presentation = dict[tuple[int, int, int, int], Fraction]
 
@@ -304,11 +286,7 @@ class H2Element:
     def __init__(self, components: Sequence[TruncatedTensor]):
         g = _check_components(components, LIE_DEGREE)
         comps = tuple(t.truncated(LIE_DEGREE) for t in components)
-        lifted = TruncatedTensor(g, LIE_DEGREE + 1)
-        for j, t in enumerate(comps):
-            lifted = lifted + TruncatedTensor.letter(
-                g, j, LIE_DEGREE + 1).bracket(t.truncated(LIE_DEGREE + 1))
-        if not lifted.is_zero():
+        if not _contract(comps).is_zero():
             raise ValueError("bracket contraction does not vanish")
         if any(a != b for a, b in zip(_bar_components(comps), comps)):
             raise ValueError("element is not fixed by the symmetrizing projection")
@@ -486,9 +464,7 @@ def j1(move: WhiteheadMove) -> Lambda3:
 
 def bar_tau2(move: WhiteheadMove) -> H2Element:
     """Symmetrized degree-two value of a single move."""
-    values = list(tau_move(move, 2).tau.values[2])
-    comps = [t.truncated(LIE_DEGREE) for t in tensor_components(values)]
-    return bar_project(comps)
+    return bar_project(tensor_components(tau_move(move, 2).tau.values[2]))
 
 
 @dataclass(frozen=True)

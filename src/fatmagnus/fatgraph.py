@@ -472,6 +472,15 @@ class MovePath:
     initial: MarkedFatgraph
     moves: tuple[WhiteheadMove, ...]
 
+    def __post_init__(self) -> None:
+        ends = (self.initial,) + tuple(mv.result for mv in self.moves)
+        for step, mv in enumerate(self.moves):
+            if mv.source is not ends[step]:
+                where = (f"the result of step {step - 1}" if step
+                         else "the initial graph")
+                raise ValueError(f"step {step} (edge {mv.edge_id}) does not "
+                                 f"start from {where}")
+
     @property
     def final(self) -> MarkedFatgraph:
         return self.moves[-1].result if self.moves else self.initial

@@ -1,11 +1,11 @@
 """Graded automorphism data carried by Whitehead moves.
 
 Each move induces an automorphism of the completed free Lie algebra that
-fixes degree one; its graded pieces are linear maps from homology into
-Lie elements one degree higher.  A closed Hausdorff-series formula
-computes these pieces from the source table alone, an independent solver
-recovers them by comparing the two expansion tables, and move paths
-compose them as substitution maps.
+fixes degree one.  A closed Hausdorff-series formula builds it once, from
+the source table alone, as a substitution map (move_ia); tau_move is its
+graded view, linear maps from homology into Lie elements one degree
+higher.  An independent solver recovers the same pieces by comparing the
+two expansion tables, and move paths compose the substitution maps.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (
     IAMap,
     TruncatedTensor,
-    dot,
     hausdorff_tail,
     is_lie,
     letter_name,
@@ -41,8 +40,11 @@ def dual_vector(genus: int, letter: int) -> tuple[int, ...]:
     """The homology vector whose pairing reads off one letter coefficient.
 
     dot(dual_vector(g, j), x) == x[j] for every vector x.  This function
-    owns the convention identifying maps on homology with tensors, so any
-    sign choice lives here and nowhere else.
+    is the one owner of the convention identifying maps on homology with
+    tensors: its single nonzero entry, -1 in slot g + j for j < g and +1
+    in slot j - g otherwise, is the signed permutation between letter
+    values and letter-slot components that tensor_values,
+    tensor_components and bracket_map read off it.
     """
     vec = [0] * (2 * genus)
     if letter < genus:
@@ -52,25 +54,70 @@ def dual_vector(genus: int, letter: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _signed_slots(genus: int) -> list[tuple[int, int]]:
+    """(slot, sign) of the one nonzero entry of each letter's dual vector."""
+    return [next((k, x) for k, x in enumerate(dual_vector(genus, j)) if x)
+            for j in range(2 * genus)]
+
+
+def tensor_values(genus: int, parts: Sequence[tuple[Sequence, TruncatedTensor]],
+                  scale: Fraction = Fraction(1)) -> tuple[TruncatedTensor, ...]:
+    """Map values of scale * sum_i vec_i (x) S_i on the letter basis.
+
+    A tensor vec (x) S acts on homology by x -> dot(vec, x) S.  The sum
+    has letter-slot components c_k = scale * sum_i vec_i[k] S_i, and its
+    value on letter j is sign * c_slot for the (slot, sign) entry of
+    dual_vector(genus, j): the inverse of tensor_components.
+    """
+    n = parts[0][1].max_degree
+    comps = [TruncatedTensor(genus, n) for _ in range(2 * genus)]
+    for vec, series in parts:
+        if len(vec) != 2 * genus:
+            raise ValueError("need one vector entry per letter")
+        for k, x in enumerate(vec):
+            if x:
+                comps[k] = comps[k] + series.scaled(x * scale)
+    return tuple(comps[k].scaled(sign) for k, sign in _signed_slots(genus))
+
+
+def tensor_components(values: Sequence[TruncatedTensor]
+                      ) -> tuple[TruncatedTensor, ...]:
+    """Letter-slot components of the tensor behind a letter-value list.
+
+    A map on homology given by its values on the letters corresponds,
+    through the signed permutation fixed in dual_vector, to a tensor with
+    one Lie component per letter slot: the value on letter j, times the
+    sign, lands in the slot of dual_vector(g, j).  This is the inverse
+    permutation of tensor_values.
+    """
+    if not values or len(values) != 2 * values[0].genus:
+        raise ValueError("need one value per letter")
+    out: list = [None] * len(values)
+    for v, (k, sign) in zip(values, _signed_slots(values[0].genus)):
+        out[k] = v.scaled(sign)
+    return tuple(out)
+
+
+def _contract(comps: Sequence[TruncatedTensor]) -> TruncatedTensor:
+    """sum_k [x_k, comps[k]], lifted one degree so that the brackets of
+    top-degree components are not cut off."""
+    g = comps[0].genus
+    n = comps[0].max_degree + 1
+    out = TruncatedTensor(g, n)
+    for k, t in enumerate(comps):
+        out = out + TruncatedTensor.letter(g, k, n).bracket(t.truncated(n))
+    return out
+
+
 def bracket_map(values: Sequence[TruncatedTensor]) -> TruncatedTensor:
     """Contract a homology-to-Lie map into a single Lie element.
 
     The input lists the map's values on the letter basis; the result sums
-    [dual letter, value].  Its kernel singles out the good subspaces that
-    wedge powers of homology embed into.
+    [dual letter, value], that is [x_k, c_k] over the letter-slot
+    components c_k.  Its kernel singles out the good subspaces that wedge
+    powers of homology embed into.
     """
-    if len(values) % 2 or not values:
-        raise ValueError("need one value per letter")
-    g = values[0].genus
-    if len(values) != 2 * g:
-        raise ValueError("need one value per letter")
-    # lift one degree so the bracket of top-degree values is not cut off
-    n = values[0].max_degree + 1
-    out = TruncatedTensor(g, n)
-    for j, v in enumerate(values):
-        d = TruncatedTensor.from_vector(g, dual_vector(g, j), n)
-        out = out + d.bracket(v.truncated(n))
-    return out
+    return _contract(tensor_components(values))
 
 
 # -- graded values ---------------------------------------------------------
@@ -99,6 +146,9 @@ class GradedTau:
                 raise ValueError(f"degree {k} needs one value per letter")
             for i, v in enumerate(vals):
                 where = f"degree-{k} value of {letter_name(self.genus, i)}"
+                if v.genus != self.genus:
+                    raise ValueError(
+                        f"{where} has genus {v.genus}, not {self.genus}")
                 if v.graded(k + 1) != v:
                     raise ValueError(f"{where} is not pure of degree {k + 1}")
                 if not is_lie(v):
@@ -109,6 +159,9 @@ class GradedTau:
 
     def value(self, k: int, vec: Sequence[Fraction | int]) -> TruncatedTensor:
         """The degree-k piece evaluated on a homology vector."""
+        if len(vec) != 2 * self.genus:
+            raise ValueError(f"vector needs {2 * self.genus} entries, "
+                             f"not {len(vec)}")
         vals = self.values[k]
         out = TruncatedTensor(self.genus, vals[0].max_degree)
         for j, v in enumerate(vals):
@@ -194,33 +247,6 @@ def derive(values: Sequence[TruncatedTensor],
 # -- closed formula --------------------------------------------------------
 
 
-def _unit_vectors(genus: int) -> list[tuple[int, ...]]:
-    n = 2 * genus
-    return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-
-
-def tensor_values(genus: int, parts: Sequence[tuple[Sequence, TruncatedTensor]],
-                  scale: Fraction = Fraction(1)) -> tuple[TruncatedTensor, ...]:
-    """Map values of sum_i vec_i (x) S_i on the letter basis, scaled.
-
-    A tensor vec (x) S acts on homology by x -> dot(vec, x) S; this
-    evaluates such a sum on the letter basis, ready to feed a GradedTau.
-    """
-    units = _unit_vectors(genus)
-    out = []
-    for u in units:
-        acc = None
-        for vec, series in parts:
-            c = dot(vec, u)
-            if c:
-                term = series.scaled(c * scale)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = TruncatedTensor(genus, parts[0][1].max_degree)
-        out.append(acc)
-    return tuple(out)
-
-
 def _sector_tails(move: WhiteheadMove, n: int) -> dict[str, TruncatedTensor]:
     tab = get_table(move.source, n)
     la, lb, lc, ld = (tab.ell(x)
@@ -249,30 +275,30 @@ def sector_contributions(move: WhiteheadMove,
         for lab in SECTOR_LABELS)
 
 
-def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
-    """All graded pieces of the move automorphism through degree m.
+def move_ia(move: WhiteheadMove, m: int) -> IAMap:
+    """The move automorphism through degree m + 1, as a substitution map.
 
-    Built from the source table alone: three times the degree-k piece is
-    the homology tensor with the labels a, b, c against Hausdorff tails
-    of the surrounding series.
+    Built from the source table alone: three times the correction is the
+    homology tensor with the labels a, b, c against Hausdorff tails of
+    the surrounding series, all degrees at once.
     """
     _check_degree(m)
     src = move.source
     g = src.genus()
     tails = _sector_tails(move, m + 1)
     av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
-    values = {}
     # reconstruction from the corner pieces: a(x)I + b(x)(I+II) - c(x)IV,
     # with the overall orientation pinned against the table-comparison
     # solver (the corner pieces alone leave a global sign free)
-    for k in range(1, m + 1):
-        parts = [
-            (av, tails["I"].graded(k + 1)),
-            (bv, (tails["I"] + tails["II"]).graded(k + 1)),
-            (cv, tails["IV"].graded(k + 1).scaled(-1)),
-        ]
-        values[k] = tensor_values(g, parts)
-    return MoveTau(move, GradedTau(g, values))
+    parts = [(av, tails["I"]), (bv, tails["I"] + tails["II"]),
+             (cv, -tails["IV"])]
+    return IAMap(g, tensor_values(g, parts), m + 1)
+
+
+def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
+    """All graded pieces of the move automorphism through degree m: the
+    graded view of move_ia."""
+    return MoveTau(move, ia_graded(move_ia(move, m)))
 
 
 # -- printed low-degree formulas (independent transcriptions) --------------
@@ -412,20 +438,6 @@ def tau_move_oracle(move: WhiteheadMove, m: int) -> MoveTau:
 
 
 # -- paths -----------------------------------------------------------------
-
-
-def move_ia(move: WhiteheadMove, m: int) -> IAMap:
-    """The move automorphism as a substitution map (closed formula)."""
-    mt = tau_move(move, m)
-    g = mt.tau.genus
-    n = m + 1
-    corr = []
-    for j in range(2 * g):
-        c = TruncatedTensor(g, n)
-        for k in mt.tau.degrees():
-            c = c + mt.tau.values[k][j]
-        corr.append(c)
-    return IAMap(g, corr, n)
 
 
 def tau_path(path: MovePath, m: int) -> GradedTau:

@@ -465,3 +465,88 @@ def reference_morita_pair(xi, eta):
                     for m in range(2 * g):
                         out[m] = out[m] + piece[m].scaled(cx * cy * s)
     return H2Element(out)
+
+
+# -- the dot-based duality and the per-degree move routines, kept as
+# references for the signed permutation and the one-pass move map -------
+
+
+def reference_tensor_values(genus, parts, scale=Fraction(1)):
+    """Values of sum_i vec_i (x) S_i on the letter basis, by pairing each
+    vec_i against every unit vector."""
+    from fatmagnus.algebra import dot
+
+    n = 2 * genus
+    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    out = []
+    for u in units:
+        acc = None
+        for vec, series in parts:
+            c = dot(vec, u)
+            if c:
+                term = series.scaled(c * scale)
+                acc = term if acc is None else acc + term
+        if acc is None:
+            acc = TruncatedTensor(genus, parts[0][1].max_degree)
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_tensor_components(values):
+    """Letter-slot components, by spreading each value over the entries
+    of its dual vector."""
+    from fatmagnus.johnson import dual_vector
+
+    g = values[0].genus
+    n = values[0].max_degree
+    out = [TruncatedTensor(g, n) for _ in range(2 * g)]
+    for k, v in enumerate(values):
+        for j, cj in enumerate(dual_vector(g, k)):
+            if cj:
+                out[j] = out[j] + v.scaled(cj)
+    return tuple(out)
+
+
+def reference_bracket_map(values):
+    """sum_j [dual letter j, value j], one degree up."""
+    from fatmagnus.johnson import dual_vector
+
+    g = values[0].genus
+    n = values[0].max_degree + 1
+    out = TruncatedTensor(g, n)
+    for j, v in enumerate(values):
+        d = TruncatedTensor.from_vector(g, dual_vector(g, j), n)
+        out = out + d.bracket(v.truncated(n))
+    return out
+
+
+def reference_tau_move(move, m):
+    """The closed formula sliced degree by degree into a GradedTau."""
+    from fatmagnus.johnson import GradedTau, MoveTau, _sector_tails
+
+    src = move.source
+    g = src.genus()
+    tails = _sector_tails(move, m + 1)
+    av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
+    values = {}
+    for k in range(1, m + 1):
+        parts = [
+            (av, tails["I"].graded(k + 1)),
+            (bv, (tails["I"] + tails["II"]).graded(k + 1)),
+            (cv, tails["IV"].graded(k + 1).scaled(-1)),
+        ]
+        values[k] = reference_tensor_values(g, parts)
+    return MoveTau(move, GradedTau(g, values))
+
+
+def reference_move_ia(move, m):
+    """The move map, re-summed from the graded pieces of reference_tau_move."""
+    tau = reference_tau_move(move, m).tau
+    g = tau.genus
+    corr = []
+    for j in range(2 * g):
+        c = TruncatedTensor(g, m + 1)
+        for k in tau.degrees():
+            c = c + tau.values[k][j]
+        corr.append(c)
+    return IAMap(g, corr, m + 1)

@@ -11,6 +11,7 @@ from fatmagnus.magnus import MagnusTable
 from fatmagnus.fatgraph import (
     Fatgraph,
     MarkedFatgraph,
+    MovePath,
     apply_path,
     boundary_word,
     markings_equal,
@@ -374,6 +375,23 @@ def test_apply_path_records_and_reports():
     names = symplectic_edge_names(1)
     with pytest.raises(ValueError, match="step 0"):
         apply_path(mg, [names["t"]])
+
+
+def test_move_paths_must_chain():
+    mg = symplectic_graph(2)
+    e1, e2 = mg.graph.movable_edges()[:2]
+    m1, m2 = whitehead(mg, e1), whitehead(mg, e2)
+    with pytest.raises(ValueError,
+                       match=f"step 1 \\(edge {e2}\\) does not start from "
+                             "the result of step 0"):
+        MovePath(mg, (m1, m2))
+    with pytest.raises(ValueError,
+                       match=f"step 0 \\(edge {e1}\\) does not start from "
+                             "the initial graph"):
+        MovePath(symplectic_graph(2), (m1,))
+    chained = MovePath(mg, (m1, whitehead(m1.result, e2)))
+    assert chained.final is chained.moves[1].result
+    assert MovePath(mg, ()).final is mg
 
 
 def test_identity_path_verifies_identity_endomorphism():

@@ -6,17 +6,24 @@ sign here is anchored; the explicit low-degree bracket formulas are
 independent transcriptions, checked as regressions against both.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    coeffs,
     lie_tensors,
     random_symplectic_matrix,
     random_walk,
+    reference_bracket_map,
+    reference_move_ia,
+    reference_tau_move,
+    reference_tensor_components,
+    reference_tensor_values,
     single_sector_vector,
     tensors,
 )
@@ -43,6 +50,7 @@ from fatmagnus.johnson import (
     SECTOR_LABELS,
     SectorContribution,
     _basis_halves,
+    _sector_tails,
     bracket_map,
     derive,
     dual_vector,
@@ -55,6 +63,8 @@ from fatmagnus.johnson import (
     tau_move,
     tau_move_oracle,
     tau_path,
+    tensor_components,
+    tensor_values,
 )
 from fatmagnus.magnus import get_table
 
@@ -144,6 +154,19 @@ def test_shape_and_degree_validation():
         GradedTau(1, {1: (quad, letter)})
     with pytest.raises(ValueError, match="degree-1 value of v1 is not a Lie"):
         GradedTau(1, {1: (quad, xy)})
+    # values of another genus are named, not accepted
+    x3 = TruncatedTensor.letter(3, 0, 3).bracket(TruncatedTensor.letter(3, 1, 3))
+    z3 = TruncatedTensor(3, 3)
+    with pytest.raises(ValueError,
+                       match="degree-1 value of u1 has genus 3, not 2"):
+        GradedTau(2, {1: (x3, z3, z3, z3)})
+    # homology vectors need one entry per letter
+    t = tau_move(mv, 2).tau
+    for vec in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=f"needs 2 entries, not {len(vec)}"):
+            t.value(2, vec)
+    with pytest.raises(ValueError, match="one vector entry per letter"):
+        tensor_values(1, [((1, 0, 0), zero)])
     with pytest.raises(ValueError, match="unknown sector"):
         SectorContribution("V", {})
     with pytest.raises(ValueError, match="need one value per letter"):
@@ -165,6 +188,85 @@ def test_structured_pairs_expose_the_dual_basis():
         for j, (vec, v) in enumerate(pairs):
             assert vec == dual_vector(2, j)
             assert v == t.values[k][j]
+
+
+# -- one signed permutation and one move map, against the dot-based and
+# per-degree references -----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def reference_walks():
+    """(genus, degree, moves): stretches of genus 1-3 walks, and of one
+    walk from a non-unimodular marking with Fraction entries, chosen so
+    that every genus above one sees nonzero degree-one values."""
+    half = [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+            [0, 0, 0, Fraction(1, 2)]]
+    mg = symplectic_graph(2).apply_basis_change(half)
+    return (
+        (1, 4, walk_moves(1, 4, seed=61)),
+        (2, 4, walk_moves(2, 14, seed=64)[6:10]),
+        (3, 3, walk_moves(3, 14, seed=71)[9:12]),
+        (3, 4, walk_moves(3, 14, seed=71)[12:]),
+        (2, 3, random_walk(mg, 14, random.Random(78)).moves[7:12]),
+    )
+
+
+def test_move_map_matches_the_per_degree_reference():
+    for g, m, moves in reference_walks():
+        live = set()
+        for mv in moves:
+            phi = move_ia(mv, m)
+            tau = tau_move(mv, m).tau
+            assert phi == reference_move_ia(mv, m)
+            assert tau == reference_tau_move(mv, m).tau
+            assert tau == ia_graded(phi)
+            live |= {k for k in tau.degrees()
+                     if any(not v.is_zero() for v in tau.values[k])}
+        assert live == set(range(1 if g > 1 else 2, m + 1))
+
+
+def test_duality_is_one_signed_permutation_on_move_data():
+    fractional = 0
+    for g, m, moves in reference_walks():
+        for mv in moves:
+            src = mv.source
+            tails = _sector_tails(mv, m + 1)
+            parts = [(src.h[mv.a], tails["I"]), (src.h[mv.b], tails["II"]),
+                     (src.h[mv.c], tails["IV"])]
+            fractional += any(Fraction(x).denominator > 1
+                              for vec, _ in parts for x in vec)
+            for scale in (Fraction(1), Fraction(-5, 3)):
+                values = tensor_values(g, parts, scale)
+                assert values == reference_tensor_values(g, parts, scale)
+                comps = tensor_components(values)
+                assert comps == reference_tensor_components(values)
+                for k in range(2 * g):
+                    want = TruncatedTensor(g, m + 1)
+                    for vec, series in parts:
+                        want = want + series.scaled(scale * vec[k])
+                    assert comps[k] == want
+            for values in tau_move(mv, m).tau.values.values():
+                assert tensor_components(values) == \
+                    reference_tensor_components(values)
+                assert bracket_map(values) == reference_bracket_map(values)
+    assert fractional
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_duality_is_one_signed_permutation_on_random_tensors(data):
+    g = data.draw(st.integers(1, 3))
+    vectors = st.lists(st.one_of(st.just(0), coeffs),
+                       min_size=2 * g, max_size=2 * g)
+    parts = [(data.draw(vectors), data.draw(lie_tensors(g, 3)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    scale = data.draw(coeffs)
+    values = tensor_values(g, parts, scale)
+    assert values == reference_tensor_values(g, parts, scale)
+    assert tensor_components(values) == reference_tensor_components(values)
+    assert bracket_map(values) == reference_bracket_map(values)
+    assert tensor_values(g, [(dual_vector(g, j), v)
+                             for j, v in enumerate(values)]) == values
 
 
 # -- the derivation extension ----------------------------------------------
@@ -256,7 +358,6 @@ def test_degree_one_is_the_signed_label_triple():
         parts = [(av, hb.bracket(hc)), (bv, hc.bracket(ha)),
                  (cv, ha.bracket(hb))]
         got = tau_move(mv, 1).tau.values[1]
-        from fatmagnus.johnson import tensor_values
         assert got == tensor_values(2, parts, Fraction(-1, 6))
         if any(not v.is_zero() for v in got):
             seen += 1
@@ -356,8 +457,6 @@ def quiet_label_moves(g, seed, want):
 def test_quiet_label_moves_simplify():
     # with the middle label marked zero the degree-1 piece dies and the
     # higher pieces collapse to two-block bracket formulas
-    from fatmagnus.johnson import tensor_values
-
     for g, seed in ((1, 41), (2, 42)):
         for mv in quiet_label_moves(g, seed, 2):
             src = mv.source
@@ -385,8 +484,6 @@ def test_quiet_label_moves_simplify():
 
 
 def test_quiet_label_degree_four_needs_quadratic_corrections():
-    from fatmagnus.johnson import tensor_values
-
     differs = 0
     for g, seed in ((1, 41), (2, 42)):
         for mv in quiet_label_moves(g, seed, 2):
