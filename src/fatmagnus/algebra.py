@@ -35,9 +35,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 DEFAULT_MAX_DEGREE = 5
 
 
+def _check_letters(genus: int, letters: Iterable[int]) -> None:
+    for c in letters:
+        if not 0 <= c < 2 * genus:
+            raise ValueError(f"letter {c} out of range for genus {genus}")
+
+
 def letter_name(genus: int, letter: int) -> str:
-    if not 0 <= letter < 2 * genus:
-        raise ValueError(f"letter {letter} out of range for genus {genus}")
+    _check_letters(genus, (letter,))
     if letter < genus:
         return f"u{letter + 1}"
     return f"v{letter - genus + 1}"
@@ -157,9 +162,7 @@ class TruncatedTensor:
                    max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
         """The sum of c * word over {word: c}, truncated above max_degree."""
         t = cls(genus, max_degree)
-        for c in {c for word in terms for c in word}:
-            if not 0 <= c < t.nletters:
-                raise ValueError(f"letter {c} out of range for genus {genus}")
+        _check_letters(genus, {c for word in terms for c in word})
         fracs = {w: Fraction(c) for w, c in terms.items()
                  if c and len(w) <= max_degree}
         t.den = lcm(*(c.denominator for c in fracs.values()))
@@ -219,6 +222,7 @@ class TruncatedTensor:
         return all(not comp for comp in self.comps)
 
     def coefficient(self, word: Sequence[int]) -> Fraction:
+        _check_letters(self.genus, word)
         if len(word) > self.max_degree:
             return Fraction(0)
         n = self.comps[len(word)].get(_pack(word, self.nletters), 0)

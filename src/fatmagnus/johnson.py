@@ -69,6 +69,8 @@ def tensor_values(genus: int, parts: Sequence[tuple[Sequence, TruncatedTensor]],
     value on letter j is sign * c_slot for the (slot, sign) entry of
     dual_vector(genus, j): the inverse of tensor_components.
     """
+    if not parts:
+        raise ValueError("need at least one part")
     n = parts[0][1].max_degree
     comps = [TruncatedTensor(genus, n) for _ in range(2 * genus)]
     for vec, series in parts:
@@ -157,12 +159,19 @@ class GradedTau:
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.values)
 
+    def _degree(self, k: int) -> tuple[TruncatedTensor, ...]:
+        try:
+            return self.values[k]
+        except KeyError:
+            raise ValueError(f"degree {k} not held: this value holds degrees "
+                             f"{self.degrees()}") from None
+
     def value(self, k: int, vec: Sequence[Fraction | int]) -> TruncatedTensor:
         """The degree-k piece evaluated on a homology vector."""
         if len(vec) != 2 * self.genus:
             raise ValueError(f"vector needs {2 * self.genus} entries, "
                              f"not {len(vec)}")
-        vals = self.values[k]
+        vals = self._degree(k)
         out = TruncatedTensor(self.genus, vals[0].max_degree)
         for j, v in enumerate(vals):
             c = Fraction(vec[j])
@@ -173,7 +182,7 @@ class GradedTau:
     def pairs(self, k: int) -> list[tuple[tuple[int, ...], TruncatedTensor]]:
         """Structured form of one degree: (dual basis vector, Lie series)."""
         return [(dual_vector(self.genus, j), v)
-                for j, v in enumerate(self.values[k])]
+                for j, v in enumerate(self._degree(k))]
 
     def bracket_image(self, k: int) -> TruncatedTensor:
         """Bracket contraction of the degree-k piece (see bracket_map).
@@ -191,7 +200,7 @@ class GradedTau:
         nonzero from degree two on wherever the degree-four tail changes
         and the degree-one piece vanishes (always so at genus one).
         """
-        return bracket_map(self.values[k])
+        return bracket_map(self._degree(k))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for vals in self.values.values() for v in vals)

@@ -13,14 +13,14 @@ Lie x.  The sweep puts each degree's increments over one denominator,
 with the -1/3 folded in, and walks the cycle once with a running dict of
 integer numerators.  It copies that dict at each arc's start and takes
 the difference at the arc's end, so each edge is normalized once per
-degree.  The integral tables P, Q, R and qhat use the same sweep.
+degree.  A table stores ell and nothing it can derive: the integral
+tensors P = 6 ell_2, Q = 36 ell_3 and R = 216 ell_4 are exact rescalings
+of its graded parts, read off on each call.
 """
 
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -47,7 +47,8 @@ def get_table(mg: MarkedFatgraph,
 
 
 class MagnusTable:
-    """All expansion values of one marked fatgraph up to a fixed degree.
+    """The expansion ell of every half-edge of one marked fatgraph up to
+    a fixed degree, with theta = exp(ell) cached on first read.
 
     The table holds its marked graph weakly, since the graph keeps its
     tables (see get_table), and its Fatgraph strongly.
@@ -73,9 +74,8 @@ class MagnusTable:
         pos = {h: i for i, h in enumerate(cycle)}
         self._arcs = {h for h in cycle if pos[h] < pos[pair[h]]}
 
-        self.one = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
-                    for h in G.half_edges}
-        ell = {h: self.one[h] for h in self._arcs}
+        ell = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
+               for h in self._arcs}
         for n in range(2, max_degree + 1):
             exps = {}
             for h in self._arcs:
@@ -86,8 +86,10 @@ class MagnusTable:
             coeffs = _log_coeffs(n)
             inc = [_horner(exps[x] * exps[pair[y]], coeffs, n)
                    for x, y in zip(cycle, cycle[1:])]
-            ell = self._arc_sums(inc, n, Fraction(-1, 3), ell)
-        self._ell = self._fill_reversed(ell)
+            ell = self._arc_sums(inc, n, ell)
+        for h in self._arcs:
+            ell[pair[h]] = -ell[h]
+        self._ell = ell
         self._theta: dict[int, TruncatedTensor] = {}
 
     @property
@@ -97,33 +99,44 @@ class MagnusTable:
 
     # -- series values ----------------------------------------------------
 
+    def _value(self, half: int) -> TruncatedTensor:
+        try:
+            return self._ell[half]
+        except KeyError:
+            raise ValueError(f"half-edge {half} is not in the graph") from None
+
     def ell(self, half: int) -> TruncatedTensor:
-        return self._ell[half]
+        return self._value(half)
 
     def theta(self, half: int) -> TruncatedTensor:
         if half not in self._theta:
-            self._theta[half] = exp_t(self._ell[half])
+            self._theta[half] = exp_t(self._value(half))
         return self._theta[half]
+
+    def P(self, half: int) -> TruncatedTensor:
+        return self._value(half).graded(2).scaled(6)
+
+    def Q(self, half: int) -> TruncatedTensor:
+        return self._value(half).graded(3).scaled(36)
+
+    def R(self, half: int) -> TruncatedTensor:
+        return self._value(half).graded(4).scaled(216)
 
     # -- the arc sweep -----------------------------------------------------
 
     def _arc_sums(self, inc: list[TruncatedTensor], n: int,
-                  scale: Fraction = Fraction(1),
-                  base: Optional[dict[int, TruncatedTensor]] = None
+                  base: dict[int, TruncatedTensor]
                   ) -> dict[int, TruncatedTensor]:
-        """base[h] + scale * (inc[p] + ... + inc[q - 1]) on each arc [p..q].
+        """base[h] - (inc[p] + ... + inc[q - 1]) / 3 on each arc [p..q].
 
         Every increment is homogeneous of degree n and has the table's
-        shape, and base defaults to zero.  Arc h starts where h sits on
-        the cycle and ends at its reverse.
+        shape.  Arc h starts where h sits on the cycle and ends at its
+        reverse.
         """
         N = self.max_degree
-        zero = TruncatedTensor(self.graph.genus(), N)
-        if n > N:
-            return {h: zero for h in self._arcs}
         den = lcm(*(t.den for t in inc))
-        mult = [scale.numerator * (den // t.den) for t in inc]
-        den *= scale.denominator
+        mult = [-(den // t.den) for t in inc]
+        den *= 3
         pair = self.graph.pair_
         run: dict[int, int] = {}
         opened: dict[int, dict[int, int]] = {}
@@ -140,7 +153,7 @@ class MagnusTable:
                 # part = diff / den in lowest terms; old and part are
                 # normalized, so their sum over the lcm is too
                 g = gcd(den, *diff.values())
-                old = base[h] if base else zero
+                old = base[h]
                 t = TruncatedTensor(old.genus, N)
                 t.den = lcm(old.den, den // g)
                 a, b = t.den // old.den, t.den // (den // g)
@@ -153,75 +166,6 @@ class MagnusTable:
                 for k, v in inc[j].comps[n].items():
                     run[k] = run.get(k, 0) + m * v
         return out
-
-    def _fill_reversed(self, vals: dict[int, TruncatedTensor]
-                       ) -> dict[int, TruncatedTensor]:
-        """vals on every half-edge: each arc half's reverse gets minus
-        its value."""
-        pair = self.graph.pair_
-        out = dict(vals)
-        for h in self._arcs:
-            out[pair[h]] = -vals[h]
-        return out
-
-    def _arc_table(self, inc_fn, n: int) -> dict[int, TruncatedTensor]:
-        cycle = self._cycle
-        return self._fill_reversed(self._arc_sums(
-            [inc_fn(x, y) for x, y in zip(cycle, cycle[1:])], n))
-
-    # -- integral tables, each built on its first read ---------------------
-
-    @cached_property
-    def _P(self) -> dict[int, TruncatedTensor]:
-        one = self.one
-        return self._arc_table(lambda x, y: one[x].bracket(one[y]), 2)
-
-    @cached_property
-    def _Q(self) -> dict[int, TruncatedTensor]:
-        one, P = self.one, self._P
-
-        def q_inc(x, y):
-            fx, fy = one[x], one[y]
-            fxy = fx.bracket(fy)
-            return fx.bracket(fxy) + fy.bracket(fxy) \
-                + fx.bracket(P[y]) + P[x].bracket(fy)
-
-        return self._arc_table(q_inc, 3)
-
-    @cached_property
-    def _qhat(self) -> dict[int, TruncatedTensor]:
-        one, P = self.one, self._P
-        return self._arc_table(
-            lambda x, y: one[x].bracket(P[y]) + P[x].bracket(one[y]), 3)
-
-    @cached_property
-    def _R(self) -> dict[int, TruncatedTensor]:
-        one, P, Q = self.one, self._P, self._Q
-
-        def r_inc(x, y):
-            fx, fy = one[x], one[y]
-            fxy = fx.bracket(fy)
-            t = fy.bracket(fx.bracket(fxy)).scaled(3)
-            t = t + fx.bracket(fx.bracket(P[y])) \
-                + fx.bracket(P[x].bracket(fy)) + P[x].bracket(fxy)
-            t = t + fy.bracket(fx.bracket(P[y])) \
-                + fy.bracket(P[x].bracket(fy)) + P[y].bracket(fxy)
-            return t + P[x].bracket(P[y]) \
-                + fx.bracket(Q[y]) + Q[x].bracket(fy)
-
-        return self._arc_table(r_inc, 4)
-
-    def P(self, half: int) -> TruncatedTensor:
-        return self._P[half]
-
-    def Q(self, half: int) -> TruncatedTensor:
-        return self._Q[half]
-
-    def R(self, half: int) -> TruncatedTensor:
-        return self._R[half]
-
-    def qhat(self, half: int) -> TruncatedTensor:
-        return self._qhat[half]
 
 
 # -- module-level API ------------------------------------------------------
@@ -268,12 +212,15 @@ def check_relations(move: WhiteheadMove,
                     max_degree: int = DEFAULT_MAX_DEGREE) -> Optional[str]:
     """Verify the local edge relations around a Whitehead move.
 
-    Returns None if everything holds, else a description of the first
-    violated relation.
+    They are read off ell_1, ell_2 and ell_3 of the source table itself:
+    ell_1 sums to zero around the vertex and across the move, P = 6 ell_2
+    meets the vertex and move bracket identities and Q = 36 ell_3 the
+    vertex one.  Returns None if everything holds, else a description of
+    the first violated relation.
     """
     t = get_table(move.source, max_degree)
     a, b, c, d, e = move.a, move.b, move.c, move.d, move.e_head
-    fa, fb, fc, fd, fe = (t.one[x] for x in (a, b, c, d, e))
+    fa, fb, fc, fd, fe = (t.ell(x).graded(1) for x in (a, b, c, d, e))
     Pa, Pb, Pc, Pd, Pe = (t.P(x) for x in (a, b, c, d, e))
     Qa, Qb, Qe = t.Q(a), t.Q(b), t.Q(e)
 

@@ -237,7 +237,9 @@ def reference_apply_letter_map(t: TruncatedTensor,
 
 class ReferenceMagnusTable:
     """The prefix-sum table build, kept as the reference for MagnusTable:
-    exp_t on every half-edge and TruncatedTensor prefix sums per degree."""
+    exp_t on every half-edge and TruncatedTensor prefix sums per degree.
+    It also keeps the recursive bracket formulas for the integral tables
+    P, Q, R and qhat, which MagnusTable reads off ell's graded parts."""
 
     def __init__(self, mg, max_degree):
         from fatmagnus.algebra import _horner, _log_coeffs, exp_t

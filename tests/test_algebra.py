@@ -310,6 +310,15 @@ def test_words_with_out_of_range_letters_are_rejected(word, bad):
         TruncatedTensor.from_terms(1, {(0,): 1, word: 2})
 
 
+@pytest.mark.parametrize("word, bad", [((0, 2), 2), ((-1,), -1)])
+def test_coefficient_rejects_out_of_range_letters(word, bad):
+    # at genus 1 these once read 1 (the coefficient of v1.u1) and 0
+    t = TruncatedTensor.from_word(1, (1, 0))
+    with pytest.raises(ValueError, match=rf"letter {bad} out of range for genus 1"):
+        t.coefficient(word)
+    assert t.coefficient((1, 0)) == 1
+
+
 @given(lie_tensors())
 def test_lie_decompose_reconstructs(t):
     rec = TruncatedTensor(t.genus, t.max_degree)

@@ -28,7 +28,6 @@ from helpers import (
     tensors,
 )
 from fatmagnus.algebra import (
-    IAMap,
     TruncatedTensor,
     apply_letter_map,
     dot,
@@ -167,6 +166,14 @@ def test_shape_and_degree_validation():
             t.value(2, vec)
     with pytest.raises(ValueError, match="one vector entry per letter"):
         tensor_values(1, [((1, 0, 0), zero)])
+    with pytest.raises(ValueError, match="need at least one part"):
+        tensor_values(1, [])
+    # a degree the value does not hold is named, with the degrees it holds
+    held = r"degree 3 not held: this value holds degrees \(1, 2\)"
+    for read in (lambda: t.value(3, (1, 0)), lambda: t.pairs(3),
+                 lambda: t.bracket_image(3)):
+        with pytest.raises(ValueError, match=held):
+            read()
     with pytest.raises(ValueError, match="unknown sector"):
         SectorContribution("V", {})
     with pytest.raises(ValueError, match="need one value per letter"):
