@@ -6,14 +6,22 @@ Elements are kept exact: each graded component is a dict from packed integer
 words to integer numerators over a single shared denominator, and Fractions
 only appear at the API surface.
 
+Every tensor is in one canonical form: a positive denominator, no zero
+numerator and gcd(den, numerators) == 1, so equal values compare equal
+whatever the route.  Two routines make it.  The producers that can cancel
+terms (combination, bracket, _product, apply_letter_map) drop zeros
+themselves; the private factory TruncatedTensor._of then reduces the gcd
+once, dividing in place the per-degree dicts handed to it, which it owns
+from then on.  TruncatedTensor.combination, sum c * t over (c, t) pairs
+put over one lcm, is the one linear combination: +, -, negation, scaled
+and hausdorff_tail are each one call to it.
+
 exp_t and log_t run one Horner loop (_horner) over y, the argument less its
 constant term.  If every term of y has degree >= m, the accumulator after
 coefficient j is still to be multiplied by y j times, so only its degrees
 <= N - j*m can reach the result, and each step's product stops there.  The
-loop works on integer numerators over one common denominator and
-normalizes once, when it builds the result; every public operation returns
-a normalized element, so outputs are the same exact values in the same
-canonical form whatever the route.
+loop works on integer numerators over one common denominator and reduces
+once, when it builds the result.
 
 apply_letter_map, the one substitution routine, takes images with zero
 constant term, so the images of the first i letters of a degree-k word
@@ -21,7 +29,7 @@ reach the result only through degrees i..N - (k - i), and each prefix
 product stops there.  Words of one degree are visited in sorted order and
 share a stack of prefix products; a word whose letters' images differ
 from the letters only above the truncation goes straight to the output.
-It also works over one common denominator and normalizes once.
+It also works over one common denominator and reduces once.
 
 Letters 0..g-1 are the u_i, letters g..2g-1 are the v_i.
 """
@@ -39,6 +47,23 @@ def _check_letters(genus: int, letters: Iterable[int]) -> None:
     for c in letters:
         if not 0 <= c < 2 * genus:
             raise ValueError(f"letter {c} out of range for genus {genus}")
+
+
+def _zero_comps(genus: int, max_degree: int) -> list[dict[int, int]]:
+    """Fresh empty components of a tensor of this shape."""
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    return [{} for _ in range(max_degree + 1)]
+
+
+def _check_shape(genus: int, max_degree: int, x) -> None:
+    """Raise unless x, a tensor or an IAMap, has this genus and max_degree."""
+    if x.genus != genus or x.max_degree != max_degree:
+        what = "genus" if x.genus != genus else "max_degree"
+        raise ValueError(f"{what} mismatch: genus {x.genus}, N {x.max_degree}"
+                         f" vs genus {genus}, N {max_degree}")
 
 
 def letter_name(genus: int, letter: int) -> str:
@@ -129,15 +154,31 @@ class TruncatedTensor:
     __slots__ = ("genus", "nletters", "max_degree", "den", "comps")
 
     def __init__(self, genus: int, max_degree: int = DEFAULT_MAX_DEGREE):
-        if genus < 1:
-            raise ValueError("genus must be >= 1")
-        if max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
-        self.genus = genus
-        self.nletters = 2 * genus
-        self.max_degree = max_degree
-        self.den = 1
-        self.comps: list[dict[int, int]] = [{} for _ in range(max_degree + 1)]
+        self.comps = _zero_comps(genus, max_degree)
+        self.genus, self.nletters = genus, 2 * genus
+        self.max_degree, self.den = max_degree, 1
+
+    @classmethod
+    def _of(cls, genus: int, max_degree: int, den: int,
+            comps: list[dict[int, int]]) -> "TruncatedTensor":
+        """The tensor comps / den in lowest terms.  den > 0, and comps holds
+        max_degree + 1 fresh dicts with no zero numerator, which the tensor
+        takes over: the gcd is divided out of them in place."""
+        g = den
+        for comp in comps:
+            if comp:
+                g = gcd(g, *comp.values())
+                if g == 1:
+                    break
+        if g > 1:
+            den //= g
+            for comp in comps:
+                for k in comp:
+                    comp[k] //= g
+        t = cls.__new__(cls)
+        t.genus, t.nletters = genus, 2 * genus
+        t.max_degree, t.den, t.comps = max_degree, den, comps
+        return t
 
     # -- construction -----------------------------------------------------
 
@@ -147,9 +188,7 @@ class TruncatedTensor:
 
     @classmethod
     def unit(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
-        t = cls(genus, max_degree)
-        t.comps[0][0] = 1
-        return t
+        return cls.from_terms(genus, {(): 1}, max_degree)
 
     @classmethod
     def letter(cls, genus: int, letter: int,
@@ -161,16 +200,15 @@ class TruncatedTensor:
                    terms: Mapping[tuple[int, ...], Fraction | int],
                    max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
         """The sum of c * word over {word: c}, truncated above max_degree."""
-        t = cls(genus, max_degree)
+        comps = _zero_comps(genus, max_degree)
         _check_letters(genus, {c for word in terms for c in word})
         fracs = {w: Fraction(c) for w, c in terms.items()
                  if c and len(w) <= max_degree}
-        t.den = lcm(*(c.denominator for c in fracs.values()))
+        den = lcm(*(c.denominator for c in fracs.values()))
         for w, c in fracs.items():
-            t.comps[len(w)][_pack(w, t.nletters)] = (
-                c.numerator * (t.den // c.denominator))
-        t._normalize()
-        return t
+            comps[len(w)][_pack(w, 2 * genus)] = (
+                c.numerator * (den // c.denominator))
+        return cls._of(genus, max_degree, den, comps)
 
     @classmethod
     def from_word(cls, genus: int, word: Sequence[int],
@@ -187,34 +225,32 @@ class TruncatedTensor:
         return cls.from_terms(genus, {(i,): x for i, x in enumerate(vec)},
                               max_degree)
 
-    def copy(self) -> "TruncatedTensor":
-        t = TruncatedTensor(self.genus, self.max_degree)
-        t.den = self.den
-        t.comps = [dict(c) for c in self.comps]
-        return t
-
-    def _compat(self, other: "TruncatedTensor") -> None:
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        if self.max_degree != other.max_degree:
-            raise ValueError("max_degree mismatch")
-
-    def _normalize(self) -> None:
-        g = self.den
-        for comp in self.comps:
-            for k in [k for k, n in comp.items() if n == 0]:
-                del comp[k]
-            for n in comp.values():
-                g = gcd(g, n)
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g > 1:
-            self.den //= g
-            for comp in self.comps:
-                for k in comp:
-                    comp[k] //= g
+    @classmethod
+    def combination(cls, genus: int,
+                    pairs: Iterable[tuple[Fraction | int, "TruncatedTensor"]],
+                    max_degree: int) -> "TruncatedTensor":
+        """sum c * t over the (c, t) pairs, every t of the given shape,
+        summed as integers over one lcm."""
+        terms = []
+        for c, t in pairs:
+            _check_shape(genus, max_degree, t)
+            if c:
+                terms.append((c.numerator, t.den * c.denominator, t.comps))
+        den = lcm(*(d for _, d, _ in terms))
+        mults = [(n * (den // d), tc) for n, d, tc in terms]
+        comps = []
+        for d in range(max_degree + 1):
+            acc: dict[int, int] = {}
+            for m, tc in mults:
+                if acc:
+                    for k, n in tc[d].items():
+                        acc[k] = acc.get(k, 0) + m * n
+                else:
+                    acc = {k: m * n for k, n in tc[d].items()}
+            # one pair cannot cancel: its tensor holds no zero
+            comps.append({k: n for k, n in acc.items() if n}
+                         if len(mults) > 1 else acc)
+        return cls._of(genus, max_degree, den, comps)
 
     # -- queries ----------------------------------------------------------
 
@@ -242,26 +278,18 @@ class TruncatedTensor:
 
     def graded(self, degree: int) -> "TruncatedTensor":
         """The homogeneous degree-``degree`` part."""
-        t = TruncatedTensor(self.genus, self.max_degree)
-        if 0 <= degree <= self.max_degree and self.comps[degree]:
-            t.den = self.den
-            t.comps[degree] = dict(self.comps[degree])
-            t._normalize()
-        return t
+        comps: list[dict[int, int]] = [{} for _ in self.comps]
+        if 0 <= degree <= self.max_degree:
+            comps[degree] = dict(self.comps[degree])
+        return self._of(self.genus, self.max_degree, self.den, comps)
 
     def truncated(self, max_degree: int) -> "TruncatedTensor":
-        """Image under the projection to a lower truncation degree."""
-        if max_degree >= self.max_degree:
-            t = self.copy()
-            if max_degree > self.max_degree:
-                t.max_degree = max_degree
-                t.comps = t.comps + [{} for _ in range(max_degree - self.max_degree)]
-            return t
-        t = TruncatedTensor(self.genus, max_degree)
-        t.den = self.den
-        t.comps = [dict(c) for c in self.comps[: max_degree + 1]]
-        t._normalize()
-        return t
+        """Image under the projection to a lower truncation degree, or the
+        same element read in a higher one."""
+        comps = _zero_comps(self.genus, max_degree)
+        keep = self.comps[:max_degree + 1]
+        comps[:len(keep)] = map(dict, keep)
+        return self._of(self.genus, max_degree, self.den, comps)
 
     # -- ring operations --------------------------------------------------
 
@@ -273,58 +301,39 @@ class TruncatedTensor:
         return self.den == other.den and self.comps == other.comps
 
     def __hash__(self):
-        raise TypeError("TruncatedTensor is mutable, not hashable")
+        raise TypeError("TruncatedTensor is not hashable")
 
     def __neg__(self) -> "TruncatedTensor":
-        t = self.copy()
-        for comp in t.comps:
-            for k in comp:
-                comp[k] = -comp[k]
-        return t
+        return self.combination(self.genus, ((-1, self),), self.max_degree)
 
     def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        self._compat(other)
-        t = TruncatedTensor(self.genus, self.max_degree)
-        d1, d2 = self.den, other.den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        t.den = d1 * m1
-        for d in range(self.max_degree + 1):
-            comp = {k: n * m1 for k, n in self.comps[d].items()}
-            for k, n in other.comps[d].items():
-                comp[k] = comp.get(k, 0) + n * m2
-            t.comps[d] = {k: n for k, n in comp.items() if n}
-        t._normalize()
-        return t
+        return self.combination(self.genus, ((1, self), (1, other)),
+                                self.max_degree)
 
     def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        return self + (-other)
+        return self.combination(self.genus, ((1, self), (-1, other)),
+                                self.max_degree)
 
     def scaled(self, c: Fraction | int) -> "TruncatedTensor":
-        c = Fraction(c)
-        if c == 0:
-            return TruncatedTensor(self.genus, self.max_degree)
-        t = self.copy()
-        t.den *= c.denominator
-        num = c.numerator
-        for comp in t.comps:
-            for k in comp:
-                comp[k] *= num
-        t._normalize()
-        return t
+        return self.combination(self.genus, ((c, self),), self.max_degree)
 
     def __mul__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         """Concatenation (tensor) product, truncated."""
-        self._compat(other)
-        t = TruncatedTensor(self.genus, self.max_degree)
-        t.den = self.den * other.den
-        t.comps = _product(self.comps, other.comps, self.nletters,
-                           0, self.max_degree)
-        t._normalize()
-        return t
+        _check_shape(self.genus, self.max_degree, other)
+        N = self.max_degree
+        return self._of(self.genus, N, self.den * other.den,
+                        _product(self.comps, other.comps, self.nletters, 0, N))
 
     def bracket(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        return self * other - other * self
+        """self * other - other * self, as one integer difference."""
+        _check_shape(self.genus, self.max_degree, other)
+        N, n = self.max_degree, self.nletters
+        ab = _product(self.comps, other.comps, n, 0, N)
+        for p, q in zip(ab, _product(other.comps, self.comps, n, 0, N)):
+            for k, v in q.items():
+                p[k] = p.get(k, 0) - v
+        return self._of(self.genus, N, self.den * other.den,
+                        [{k: v for k, v in p.items() if v} for p in ab])
 
     def __repr__(self) -> str:
         return f"TruncatedTensor(genus={self.genus}, N={self.max_degree}, {self.pretty()})"
@@ -485,11 +494,9 @@ def _horner(x: TruncatedTensor, coeffs: Sequence[Fraction],
         acc = _product(y, acc, x.nletters, lo if j == 0 else 0, N - j * m)
         if b[j]:
             acc[0][0] = b[j]
-    t = TruncatedTensor(x.genus, N)
-    t.den = den * x.den ** top
-    t.comps[lo:len(acc)] = acc[lo:]
-    t._normalize()
-    return t
+    comps: list[dict[int, int]] = [{} for _ in range(N + 1)]
+    comps[lo:len(acc)] = acc[lo:]
+    return TruncatedTensor._of(x.genus, N, den * x.den ** top, comps)
 
 
 def _log_coeffs(n: int) -> list[Fraction]:
@@ -520,17 +527,16 @@ def antipode(x: TruncatedTensor) -> TruncatedTensor:
     exp(-x) for every Lie element x.
     """
     n = x.nletters
-    t = TruncatedTensor(x.genus, x.max_degree)
-    t.den = x.den
+    comps: list[dict[int, int]] = [{} for _ in x.comps]
     for k, comp in enumerate(x.comps):
-        sign, out = (-1) ** k, t.comps[k]
+        sign, out = (-1) ** k, comps[k]
         for key, v in comp.items():
             rev = 0
             for _ in range(k):
                 key, c = divmod(key, n)
                 rev = rev * n + c
             out[rev] = sign * v
-    return t
+    return TruncatedTensor._of(x.genus, x.max_degree, x.den, comps)
 
 
 def star(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
@@ -540,7 +546,8 @@ def star(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
 
 def hausdorff_tail(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     """star(x, y) - x - y: the higher correction terms."""
-    return star(x, y) - x - y
+    return TruncatedTensor.combination(
+        x.genus, ((1, star(x, y)), (-1, x), (-1, y)), x.max_degree)
 
 
 # -- H-coefficient vectors ------------------------------------------------
@@ -640,11 +647,9 @@ def apply_letter_map(t: TruncatedTensor,
                 acc = out[d]
                 for w, v in stack[k][d].items():
                     acc[w] = acc.get(w, 0) + coeff * v
-    r = TruncatedTensor(genus, N)
-    r.den = t.den * den ** N
-    r.comps = [{w: v for w, v in comp.items() if v} for comp in out]
-    r._normalize()
-    return r
+    return TruncatedTensor._of(
+        genus, N, t.den * den ** N,
+        [{w: v for w, v in comp.items() if v} for comp in out])
 
 
 def matrix_letter_images(genus: int, matrix: Sequence[Sequence[int]],
@@ -684,12 +689,15 @@ class IAMap:
                  max_degree: int = DEFAULT_MAX_DEGREE):
         if len(corrections) != 2 * genus:
             raise ValueError("need one correction per letter")
-        for c in corrections:
-            if c.genus != genus or c.max_degree != max_degree:
-                raise ValueError("correction shape mismatch")
+        for i, c in enumerate(corrections):
+            where = f"correction of {letter_name(genus, i)}"
+            if (c.genus, c.max_degree) != (genus, max_degree):
+                raise ValueError(
+                    f"{where} has genus {c.genus} and max_degree "
+                    f"{c.max_degree}, not {genus} and {max_degree}")
             md = c.min_degree()
             if md is not None and md < 2:
-                raise ValueError("corrections must start in degree 2")
+                raise ValueError(f"{where} has a degree-{md} term, below 2")
         self.genus = genus
         self.max_degree = max_degree
         self.corrections = list(corrections)
@@ -712,8 +720,7 @@ class IAMap:
 
     def apply(self, t: TruncatedTensor) -> TruncatedTensor:
         """Apply the substitution to an arbitrary truncated tensor."""
-        if t.genus != self.genus or t.max_degree != self.max_degree:
-            raise ValueError("shape mismatch")
+        _check_shape(self.genus, self.max_degree, t)
         if self._images is None:  # x_i + corrections[i], built once
             self._images = [
                 TruncatedTensor.letter(self.genus, i, self.max_degree) + c
@@ -727,23 +734,19 @@ class IAMap:
         i.e. other.apply(x_i + self_corr_i) - x_i
             = other_corr_i + other.apply(self_corr_i).
         """
-        if (other.genus, other.max_degree) != (self.genus, self.max_degree):
-            raise ValueError("shape mismatch")
+        _check_shape(self.genus, self.max_degree, other)
         new = [other.corrections[i] + other.apply(self.corrections[i])
                for i in range(2 * self.genus)]
         return IAMap(self.genus, new, self.max_degree)
 
     def inverse(self) -> "IAMap":
-        """Degree-by-degree solve of compose(self, inv) = identity."""
+        """The map inv with self.compose(inv) the identity: the fixed point
+        of inv(x_i) = x_i - inv(c_i), run once per degree 2..N from the
+        identity, since each pass fixes one more degree."""
         N = self.max_degree
         inv = IAMap.identity(self.genus, N)
-        for n in range(2, N + 1):
-            new = []
-            for i in range(2 * self.genus):
-                # the degree-n residual of the current partial inverse
-                x = TruncatedTensor.letter(self.genus, i, N)
-                resid = inv.apply(self.apply(x)) - x
-                new.append(inv.corrections[i] - resid.graded(n))
-            inv = IAMap(self.genus, new, N)
+        for _ in range(N - 1):
+            inv = IAMap(self.genus, [-inv.apply(c) for c in self.corrections],
+                        N)
         return inv
 

@@ -71,15 +71,12 @@ def tensor_values(genus: int, parts: Sequence[tuple[Sequence, TruncatedTensor]],
     """
     if not parts:
         raise ValueError("need at least one part")
+    if any(len(vec) != 2 * genus for vec, _ in parts):
+        raise ValueError("need one vector entry per letter")
     n = parts[0][1].max_degree
-    comps = [TruncatedTensor(genus, n) for _ in range(2 * genus)]
-    for vec, series in parts:
-        if len(vec) != 2 * genus:
-            raise ValueError("need one vector entry per letter")
-        for k, x in enumerate(vec):
-            if x:
-                comps[k] = comps[k] + series.scaled(x * scale)
-    return tuple(comps[k].scaled(sign) for k, sign in _signed_slots(genus))
+    return tuple(TruncatedTensor.combination(
+        genus, [(sign * vec[k] * scale, series) for vec, series in parts], n)
+        for k, sign in _signed_slots(genus))
 
 
 def tensor_components(values: Sequence[TruncatedTensor]
@@ -105,10 +102,9 @@ def _contract(comps: Sequence[TruncatedTensor]) -> TruncatedTensor:
     top-degree components are not cut off."""
     g = comps[0].genus
     n = comps[0].max_degree + 1
-    out = TruncatedTensor(g, n)
-    for k, t in enumerate(comps):
-        out = out + TruncatedTensor.letter(g, k, n).bracket(t.truncated(n))
-    return out
+    return TruncatedTensor.combination(
+        g, [(1, TruncatedTensor.letter(g, k, n).bracket(t.truncated(n)))
+            for k, t in enumerate(comps)], n)
 
 
 def bracket_map(values: Sequence[TruncatedTensor]) -> TruncatedTensor:
@@ -172,12 +168,8 @@ class GradedTau:
             raise ValueError(f"vector needs {2 * self.genus} entries, "
                              f"not {len(vec)}")
         vals = self._degree(k)
-        out = TruncatedTensor(self.genus, vals[0].max_degree)
-        for j, v in enumerate(vals):
-            c = Fraction(vec[j])
-            if c:
-                out = out + v.scaled(c)
-        return out
+        return TruncatedTensor.combination(
+            self.genus, zip(vec, vals), vals[0].max_degree)
 
     def pairs(self, k: int) -> list[tuple[tuple[int, ...], TruncatedTensor]]:
         """Structured form of one degree: (dual basis vector, Lie series)."""
@@ -243,14 +235,11 @@ def derive(values: Sequence[TruncatedTensor],
     g, n = t.genus, t.max_degree
     if len(values) != 2 * g:
         raise ValueError("need one value per letter")
-    out = TruncatedTensor(g, n)
-    for word, coeff in t.terms():
-        for i, letter in enumerate(word):
-            pre = TruncatedTensor.from_word(g, word[:i], max_degree=n)
-            post = TruncatedTensor.from_word(g, word[i + 1:], coeff,
-                                             max_degree=n)
-            out = out + pre * values[letter] * post
-    return out
+    def mono(word):
+        return TruncatedTensor.from_word(g, word, max_degree=n)
+    return TruncatedTensor.combination(g, [
+        (coeff, mono(word[:i]) * values[c] * mono(word[i + 1:]))
+        for word, coeff in t.terms() for i, c in enumerate(word)], n)
 
 
 # -- closed formula --------------------------------------------------------
@@ -418,12 +407,9 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
         phi = IAMap(g, corr, n)
         resid = [(ls[i] - phi.apply(lt[i])).graded(d)
                  for i in range(2 * g)]
-        for j in range(2 * g):
-            add = TruncatedTensor(g, n)
-            for i in range(2 * g):
-                if inv[j][i]:
-                    add = add + resid[i].scaled(inv[j][i])
-            corr[j] = corr[j] + add
+        corr = [TruncatedTensor.combination(
+                    g, [(1, corr[j])] + list(zip(inv[j], resid)), n)
+                for j in range(2 * g)]
     return IAMap(g, corr, n)
 
 

@@ -12,7 +12,7 @@ the antipode of its reverse's exponential, since S(exp x) = exp(-x) for
 Lie x.  The sweep puts each degree's increments over one denominator,
 with the -1/3 folded in, and walks the cycle once with a running dict of
 integer numerators.  It copies that dict at each arc's start and takes
-the difference at the arc's end, so each edge is normalized once per
+the difference at the arc's end, so each edge is reduced once per
 degree.  A table stores ell and nothing it can derive: the integral
 tensors P = 6 ell_2, Q = 36 ell_3 and R = 216 ell_4 are exact rescalings
 of its graded parts, read off on each call.
@@ -151,16 +151,14 @@ class MagnusTable:
                 diff = {k: d for k, v in run.items()
                         if (d := v - start.get(k, 0))}
                 # part = diff / den in lowest terms; old and part are
-                # normalized, so their sum over the lcm is too
+                # reduced, so their sum over the lcm is too
                 g = gcd(den, *diff.values())
                 old = base[h]
-                t = TruncatedTensor(old.genus, N)
-                t.den = lcm(old.den, den // g)
-                a, b = t.den // old.den, t.den // (den // g)
-                t.comps = [{k: v * a for k, v in c.items()}
-                           for c in old.comps]
-                t.comps[n] = {k: v // g * b for k, v in diff.items()}
-                out[h] = t
+                sum_den = lcm(old.den, den // g)
+                a, b = sum_den // old.den, sum_den // (den // g)
+                comps = [{k: v * a for k, v in c.items()} for c in old.comps]
+                comps[n] = {k: v // g * b for k, v in diff.items()}
+                out[h] = TruncatedTensor._of(old.genus, N, sum_den, comps)
             if j < len(inc):
                 m = mult[j]
                 for k, v in inc[j].comps[n].items():

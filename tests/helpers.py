@@ -181,7 +181,7 @@ def reference_ia_apply(m: IAMap, t: TruncatedTensor) -> TruncatedTensor:
     if t.genus != m.genus or t.max_degree != m.max_degree:
         raise ValueError("shape mismatch")
     N = m.max_degree
-    out = t.copy()
+    out = t
     corr = m.corrections
     extra = TruncatedTensor(m.genus, N)
     for word, coeff in t.terms():

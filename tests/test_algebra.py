@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -513,6 +514,14 @@ def _state(t):
     return t.den, [dict(c) for c in t.comps]
 
 
+def _is_canonical(t):
+    """Positive denominator, no zero numerator, gcd reduced, and one
+    component per degree 0..max_degree."""
+    nums = [n for comp in t.comps for n in comp.values()]
+    return (t.den > 0 and 0 not in nums and gcd(t.den, *nums) == 1
+            and len(t.comps) == t.max_degree + 1)
+
+
 @settings(deadline=None)
 @given(genus_1_or_2(tensors, lambda g: tensors(g, min_degree=1), ia_maps))
 def test_operations_leave_their_operands_unchanged(args):
@@ -522,10 +531,16 @@ def test_operations_leave_their_operands_unchanged(args):
               for i, c in enumerate(m.corrections)]
     operands = [a, x, one] + m.corrections + images
     before = [_state(t) for t in operands]
-    a + x, a - x, a * x, x * a, -a, a.scaled(Fraction(-2, 3))
-    a.bracket(x), a.graded(2), a.truncated(2), a.truncated(6)
-    exp_t(x), log_t(one + x), m.apply(a), apply_letter_map(a, images)
+    results = [
+        a + x, a - x, a * x, x * a, -a, a.scaled(Fraction(-2, 3)),
+        a.bracket(x), a.graded(2), a.truncated(2), a.truncated(6),
+        exp_t(x), log_t(one + x), m.apply(a), apply_letter_map(a, images),
+        # a cancels out, leaving x / 3 wherever a had terms
+        TruncatedTensor.combination(
+            x.genus, [(2, a), (Fraction(1, 3), x), (-2, a)], x.max_degree),
+        hausdorff_tail(x, images[0])]
     assert [_state(t) for t in operands] == before
+    assert all(_is_canonical(t) for t in results)
 
 
 # -- IAMap ----------------------------------------------------------------
@@ -539,9 +554,30 @@ def test_ia_identity():
 
 
 def test_ia_rejects_low_degree_corrections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="correction of u1 has a degree-1 term, below 2"):
         IAMap(1, [TruncatedTensor.letter(1, 0),
                   TruncatedTensor.zero(1)])
+    # the message names the letter whose correction is at fault
+    with pytest.raises(ValueError, match="correction of v1 has genus 1 and "
+                       "max_degree 3, not 1 and 5"):
+        IAMap(1, [TruncatedTensor.zero(1), TruncatedTensor.zero(1, 3)])
+    # shape errors name both shapes
+    m = IAMap.identity(1)
+    with pytest.raises(ValueError, match="max_degree mismatch: genus 1, N 3 "
+                       "vs genus 1, N 5"):
+        m.apply(TruncatedTensor.letter(1, 0, 3))
+    with pytest.raises(ValueError, match="genus mismatch: genus 2, N 5 vs "
+                       "genus 1, N 5"):
+        m.compose(IAMap.identity(2))
+    u1, u2 = TruncatedTensor.letter(1, 0), TruncatedTensor.letter(2, 0)
+    for op in (u1.__add__, u1.__mul__, u1.bracket):
+        with pytest.raises(ValueError, match="genus mismatch: genus 2, N 5 "
+                           "vs genus 1, N 5"):
+            op(u2)
+    with pytest.raises(ValueError, match="max_degree mismatch: genus 1, N 3 "
+                       "vs genus 1, N 5"):
+        TruncatedTensor.combination(1, [(1, u1), (0, u1.truncated(3))], 5)
 
 
 @given(genus_1_or_2(ia_maps, tensors, tensors))
@@ -570,6 +606,7 @@ def test_ia_inverse_two_sided(m):
     mi = m.inverse()
     assert m.compose(mi).is_identity()
     assert mi.compose(m).is_identity()
+    assert mi.inverse() == m
 
 
 def test_ia_top_degree_words_pass_through():
