@@ -74,8 +74,8 @@ def letter_name(genus: int, letter: int) -> str:
 
 
 def letter_index(genus: int, name: str) -> int:
-    kind, num = name[0], name[1:]
-    if kind not in "uv" or not num.isdigit():
+    kind, num = name[:1], name[1:]
+    if kind not in ("u", "v") or not num.isdigit():
         raise ValueError(f"bad letter name {name!r}")
     i = int(num)
     if not 1 <= i <= genus:
@@ -412,60 +412,36 @@ def _lyndon_factor(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, .
     return word[:best], word[best:]
 
 
-def _lyndon_words(nletters: int, maxlen: int) -> list[tuple[int, ...]]:
-    # Duval's algorithm
-    out: list[tuple[int, ...]] = []
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        out.append(tuple(w))
-        while len(w) < maxlen:
-            w.append(w[-m])
-        while w and w[-1] == nletters - 1:
-            w.pop()
-    return sorted(out, key=lambda t: (len(t), t))
-
-
-def _lyndon_bracket(genus: int, word: tuple[int, ...],
-                    max_degree: int) -> TruncatedTensor:
+def _lyndon_bracket(genus: int, word: tuple[int, ...], max_degree: int
+                    ) -> tuple[TruncatedTensor, str]:
+    """The standard bracketing of a Lyndon word, as a tensor and as text."""
     if len(word) == 1:
-        return TruncatedTensor.letter(genus, word[0], max_degree)
-    a, b = _lyndon_factor(word)
-    return _lyndon_bracket(genus, a, max_degree).bracket(
-        _lyndon_bracket(genus, b, max_degree))
-
-
-def _bracket_string(genus: int, word: tuple[int, ...]) -> str:
-    if len(word) == 1:
-        return letter_name(genus, word[0])
-    a, b = _lyndon_factor(word)
-    return f"[{_bracket_string(genus, a)},{_bracket_string(genus, b)}]"
+        return (TruncatedTensor.letter(genus, word[0], max_degree),
+                letter_name(genus, word[0]))
+    (ta, sa), (tb, sb) = (_lyndon_bracket(genus, w, max_degree)
+                          for w in _lyndon_factor(word))
+    return ta.bracket(tb), f"[{sa},{sb}]"
 
 
 def lie_pretty(t: TruncatedTensor) -> str:
     """Render a Lie element in the Lyndon bracket basis.
 
-    Greedy: repeatedly subtract the bracketing of the lex-least Lyndon word
-    still in the support. Falls back to the plain rendering for non-Lie input.
+    The standard bracketing of a Lyndon word w is w plus larger words of
+    its degree, so the least word in the support of a nonzero homogeneous
+    Lie element is Lyndon and its coefficient is the Lyndon coordinate.
+    Each degree is peeled off word by word from the bottom.  Non-Lie
+    input falls back to the plain rendering.
     """
     if not is_lie(t):
         return t.pretty()
     bits: list[tuple[Fraction, str]] = []
     for n in range(1, t.max_degree + 1):
         rem = t.graded(n)
-        if rem.is_zero():
-            continue
-        for lw in _lyndon_words(t.nletters, n):
-            if len(lw) != n:
-                continue
-            c = rem.coefficient(lw)
-            if c == 0:
-                continue
-            rem = rem - _lyndon_bracket(t.genus, lw, t.max_degree).scaled(c)
-            bits.append((c, _bracket_string(t.genus, lw)))
-        if not rem.is_zero():  # pragma: no cover - Lyndon brackets span
-            return t.pretty()
+        while not rem.is_zero():
+            lw, c = next(rem.terms())
+            br, text = _lyndon_bracket(t.genus, lw, t.max_degree)
+            rem = rem - br.scaled(c)
+            bits.append((c, text))
     return signed_sum(bits)
 
 

@@ -83,7 +83,7 @@ class Lambda3:
         n = 2 * genus
         store: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k), c in (coeffs or {}).items():
-            if not all(0 <= x < n for x in (i, j, k)):
+            if not all(isinstance(x, int) and 0 <= x < n for x in (i, j, k)):
                 raise ValueError("letter index out of range")
             key, sign = _sort_triple(i, j, k)
             store[key] = store.get(key, 0) + Fraction(c) * sign

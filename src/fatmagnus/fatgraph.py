@@ -9,6 +9,11 @@ Two conventions fix the expansion.  The boundary successor of an oriented
 edge is ``next_`` applied to its reverse, so the successor of the reversed
 tail is the tail itself and the cycle runs tail ... reversed-tail.  Vertex
 relations multiply edge markings in the reverse of the stored cyclic order.
+
+A rooted fatgraph has a canonical form that is read off, not searched for:
+its chord key, the boundary position of each half-edge's reverse in
+boundary order.  Two graphs are rooted-isomorphic iff their keys are equal,
+and the isomorphism matches their boundary cycles position by position.
 """
 
 from __future__ import annotations
@@ -223,6 +228,14 @@ class Fatgraph:
             return None
         return self._cycle[p:q + 1]
 
+    def chord_key(self) -> tuple[int, ...]:
+        """The canonical form: pos(reverse(h)) for h in boundary order.
+
+        Position i holds an edge's arc half, the one that comes first on
+        the boundary, iff i < key[i].
+        """
+        return tuple(self._pos[self.pair_[h]] for h in self._cycle)
+
     def movable_edges(self) -> list[int]:
         out = []
         for e, (a, b) in self.edges.items():
@@ -238,26 +251,16 @@ class Fatgraph:
 
 def rooted_isomorphism(g1: Fatgraph, g2: Fatgraph) -> Optional[dict[int, int]]:
     """The unique half-edge bijection g1 -> g2 fixing the tail and commuting
-    with both pair and next, if one exists."""
-    if len(g1.half_edges) != len(g2.half_edges):
+    with both pair and next, if one exists.
+
+    A rooted isomorphism commutes with succ = next o pair, so it sends the
+    i-th half-edge of one boundary cycle to the i-th of the other.  That
+    map commutes with pair exactly when the chord keys agree, and then
+    with next too, since next(h) = succ(pair(h)).
+    """
+    if g1.chord_key() != g2.chord_key():
         return None
-    iso = {g1.tail: g2.tail}
-    stack = [g1.tail]
-    while stack:
-        h = stack.pop()
-        for f1, f2 in ((g1.next_, g2.next_), (g1.pair_, g2.pair_)):
-            a, b = f1[h], f2[iso[h]]
-            if a in iso:
-                if iso[a] != b:
-                    return None
-            elif b in iso.values():
-                return None
-            else:
-                iso[a] = b
-                stack.append(a)
-    if len(iso) != len(g1.half_edges):
-        return None
-    return iso
+    return dict(zip(g1._cycle, g2._cycle))
 
 
 # -- markings --------------------------------------------------------------
@@ -357,8 +360,14 @@ class MarkedFatgraph:
             if w_inv(self.pi[half]) != self.pi[G.pair_[half]]:
                 raise ValueError(
                     f"pi-marking not inverse under reversal at {half}")
-            if w_abelianize(self.pi[half], 2 * g) != \
-                    tuple(self.h[half]):
+            try:
+                ab = w_abelianize(self.pi[half], 2 * g)
+            except IndexError:  # a generator past 2g has no slot
+                gen = max(map(abs, self.pi[half]))
+                raise ValueError(f"pi-marking at half-edge {half} uses "
+                                 f"generator {gen}, out of range for genus "
+                                 f"{g}") from None
+            if ab != tuple(self.h[half]):
                 raise ValueError(
                     f"pi-marking abelianization mismatch at {half}")
         for vi, v in enumerate(G.vertices):
@@ -527,6 +536,9 @@ def pi_verify(path: MovePath, images: Sequence[Word]) -> bool:
     start, end = path.initial, path.final
     if start.pi is None or end.pi is None:
         raise ValueError("pi_verify needs pi-markings on both ends")
+    if len(images) != 2 * start.genus():
+        raise ValueError(f"pi_verify needs {2 * start.genus()} images, one "
+                         f"per generator, got {len(images)}")
     iso = rooted_isomorphism(start.graph, end.graph)
     if iso is None:
         raise ValueError("endpoint fatgraphs are not isomorphic")

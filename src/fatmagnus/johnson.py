@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import (
     IAMap,
@@ -91,6 +91,8 @@ def tensor_components(values: Sequence[TruncatedTensor]
     """
     if not values or len(values) != 2 * values[0].genus:
         raise ValueError("need one value per letter")
+    if any(v.genus != values[0].genus for v in values):
+        raise ValueError("genus mismatch: values of mixed genus")
     out: list = [None] * len(values)
     for v, (k, sign) in zip(values, _signed_slots(values[0].genus)):
         out[k] = v.scaled(sign)
@@ -413,11 +415,10 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
     return IAMap(g, corr, n)
 
 
-def ia_graded(phi: IAMap, upto: Optional[int] = None) -> GradedTau:
+def ia_graded(phi: IAMap) -> GradedTau:
     """Slice a substitution map into its graded homology-to-Lie pieces."""
-    m = phi.max_degree - 1 if upto is None else upto
     values = {k: tuple(c.graded(k + 1) for c in phi.corrections)
-              for k in range(1, m + 1)}
+              for k in range(1, phi.max_degree)}
     return GradedTau(phi.genus, values)
 
 

@@ -71,8 +71,8 @@ class MagnusTable:
         self._cycle = cycle
         pair = G.pair_
         # the half-edges whose tail-avoiding arc runs forward on the cycle
-        pos = {h: i for i, h in enumerate(cycle)}
-        self._arcs = {h for h in cycle if pos[h] < pos[pair[h]]}
+        key = G.chord_key()
+        self._arcs = {h for i, h in enumerate(cycle) if i < key[i]}
 
         ell = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
                for h in self._arcs}

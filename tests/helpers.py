@@ -552,3 +552,94 @@ def reference_move_ia(move, m):
             c = c + tau.values[k][j]
         corr.append(c)
     return IAMap(g, corr, m + 1)
+
+
+# -- the searches that canonical forms replaced, kept as references --------
+
+
+def reference_rooted_isomorphism(g1, g2):
+    """The unique half-edge bijection g1 -> g2 fixing the tail and commuting
+    with both pair and next, if one exists: a co-traversal from the tail."""
+    if len(g1.half_edges) != len(g2.half_edges):
+        return None
+    iso = {g1.tail: g2.tail}
+    stack = [g1.tail]
+    while stack:
+        h = stack.pop()
+        for f1, f2 in ((g1.next_, g2.next_), (g1.pair_, g2.pair_)):
+            a, b = f1[h], f2[iso[h]]
+            if a in iso:
+                if iso[a] != b:
+                    return None
+            elif b in iso.values():
+                return None
+            else:
+                iso[a] = b
+                stack.append(a)
+    if len(iso) != len(g1.half_edges):
+        return None
+    return iso
+
+
+def _lyndon_words(nletters, maxlen):
+    # Duval's algorithm
+    out = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        out.append(tuple(w))
+        while len(w) < maxlen:
+            w.append(w[-m])
+        while w and w[-1] == nletters - 1:
+            w.pop()
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def _reference_lyndon_bracket(genus, word, max_degree):
+    from fatmagnus.algebra import _lyndon_factor
+
+    if len(word) == 1:
+        return TruncatedTensor.letter(genus, word[0], max_degree)
+    a, b = _lyndon_factor(word)
+    return _reference_lyndon_bracket(genus, a, max_degree).bracket(
+        _reference_lyndon_bracket(genus, b, max_degree))
+
+
+def _bracket_string(genus, word):
+    from fatmagnus.algebra import _lyndon_factor, letter_name
+
+    if len(word) == 1:
+        return letter_name(genus, word[0])
+    a, b = _lyndon_factor(word)
+    return f"[{_bracket_string(genus, a)},{_bracket_string(genus, b)}]"
+
+
+def reference_lie_pretty(t):
+    """Render a Lie element in the Lyndon bracket basis.
+
+    Greedy: for every Lyndon word of each degree, in order, subtract the
+    bracketing times the word's coefficient in what is left.  Falls back to
+    the plain rendering for non-Lie input.
+    """
+    from fatmagnus.algebra import is_lie, signed_sum
+
+    if not is_lie(t):
+        return t.pretty()
+    bits = []
+    for n in range(1, t.max_degree + 1):
+        rem = t.graded(n)
+        if rem.is_zero():
+            continue
+        for lw in _lyndon_words(t.nletters, n):
+            if len(lw) != n:
+                continue
+            c = rem.coefficient(lw)
+            if c == 0:
+                continue
+            rem = rem - _reference_lyndon_bracket(
+                t.genus, lw, t.max_degree).scaled(c)
+            bits.append((c, _bracket_string(t.genus, lw)))
+        if not rem.is_zero():
+            return t.pretty()
+    return signed_sum(bits)

@@ -37,6 +37,7 @@ from helpers import (
     reference_exp_t,
     reference_ia_apply,
     reference_is_lie,
+    reference_lie_pretty,
     reference_log_t,
     reference_right_bracketing,
     tensors,
@@ -64,6 +65,11 @@ def test_letter_names_roundtrip():
         letter_name(1, 2)
     with pytest.raises(ValueError):
         letter_index(1, "u2")
+
+
+def test_letter_index_rejects_an_empty_name():
+    with pytest.raises(ValueError, match="bad letter name ''"):
+        letter_index(1, "")
 
 
 def test_product_truncates():
@@ -351,6 +357,17 @@ def test_lie_pretty_parses_back(t):
     # the rendering is a faithful linear combination of bracketings
     rec = eval_bracket_text(lie_pretty(t), 2, t.max_degree)
     assert rec == t
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda g: lie_tensors(g, max_degree=5, max_terms=4)))
+@settings(max_examples=60, deadline=None)
+def test_lie_pretty_equals_the_greedy_reference(t):
+    # the least-word peel gives the coordinates the Duval-ordered
+    # greedy loop finds, in the same order
+    assert lie_pretty(t) == reference_lie_pretty(t)
+    u, v = letters(t.genus, t.max_degree)[:2]
+    assert lie_pretty(t + u * v) == reference_lie_pretty(t + u * v)
 
 
 def eval_bracket_text(text, genus, max_degree):

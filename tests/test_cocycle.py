@@ -85,6 +85,11 @@ def test_wedge_of_vectors_is_alternating():
     assert Lambda3.wedge(2, combo, v, w) == a
 
 
+def test_wedge_rejects_non_integer_letter_indices():
+    with pytest.raises(ValueError, match="letter index out of range"):
+        Lambda3(1, {(0, 1, 1.5): 1})
+
+
 def test_wedge_validation_and_display():
     with pytest.raises(ValueError, match="out of range"):
         Lambda3(1, {(0, 1, 2): 1})

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import figure_eight, random_symplectic_matrix, random_walk
+from helpers import (
+    figure_eight,
+    random_symplectic_matrix,
+    random_walk,
+    reference_rooted_isomorphism,
+)
 from fatmagnus.magnus import MagnusTable
 from fatmagnus.fatgraph import (
     Fatgraph,
@@ -231,6 +236,18 @@ def test_marking_validation_catches_degenerate_homology():
         MarkedFatgraph(mg.graph, crush)
 
 
+def test_marking_validation_names_out_of_range_generators():
+    # generator 7 on both halves of an edge passes the reversal check and
+    # must be caught before the abelianization reads its slot
+    mg = symplectic_graph(1)
+    x = next(h for h in mg.graph.half_edges if mg.pi[h] == (1,))
+    pi = dict(mg.pi)
+    pi[x], pi[mg.graph.reverse(x)] = (7,), (-7,)
+    named = f"half-edge ({x}|{mg.graph.reverse(x)}) uses generator 7"
+    with pytest.raises(ValueError, match=named):
+        MarkedFatgraph(mg.graph, mg.h, pi)
+
+
 def test_h_marking_alone_is_enough():
     mg = symplectic_graph(2)
     just_h = MarkedFatgraph(mg.graph, mg.h)
@@ -420,6 +437,13 @@ def test_pi_verify_needs_isomorphic_endpoints():
             pi_verify(path, [(k,) for k in range(1, 5)])
 
 
+def test_pi_verify_needs_one_image_per_generator():
+    path = apply_path(symplectic_graph(2), [])
+    with pytest.raises(ValueError, match="needs 4 images, one per generator, "
+                                         "got 3"):
+        pi_verify(path, [(k,) for k in range(1, 4)])
+
+
 # -- rooted isomorphism ----------------------------------------------------
 
 
@@ -436,6 +460,52 @@ def test_rooted_isomorphism_identity_and_relabel():
     assert iso == {h: h + shift for h in G.half_edges}
 
     assert rooted_isomorphism(G, symplectic_graph(3).graph) is None
+
+
+def relabelled(G, shift):
+    """A copy of G with every half-edge id moved up by shift."""
+    edges = {e: (a + shift, b + shift) for e, (a, b) in G.edges.items()}
+    return Fatgraph([tuple(h + shift for h in v) for v in G.vertices], edges,
+                    tail=G.tail + shift)
+
+
+def isomorphism_pool():
+    """Genus 1-3 graphs along fixed-seed walks, each step with its
+    move-then-undo graph and, where two movable edges share no vertex,
+    both corners of their commuting square; plus a relabelled copy of
+    each walk's end and the figure-eight."""
+    rng = random.Random(17)
+    pool = [figure_eight().graph]
+    for g in (1, 2, 3):
+        mg = symplectic_graph(g)
+        for _ in range(8):
+            G = mg.graph
+            e1 = rng.choice(G.movable_edges())
+            once = whitehead(mg, e1)
+            pool += [G, whitehead(once.result, e1).result.graph]
+            ends1 = {G.vertex_of[h] for h in G.edges[e1]}
+            apart = [e for e in G.movable_edges()
+                     if not ends1 & {G.vertex_of[h] for h in G.edges[e]}]
+            if apart:
+                e2 = rng.choice(apart)
+                pool += [whitehead(once.result, e2).result.graph,
+                         whitehead(whitehead(mg, e2).result, e1).result.graph]
+            mg = once.result
+        pool.append(relabelled(mg.graph, 1000))
+    return pool
+
+
+def test_rooted_isomorphism_equals_the_traversal_reference():
+    pool = isomorphism_pool()
+    keys = [G.chord_key() for G in pool]
+    isomorphic = 0
+    for G1, k1 in zip(pool, keys):
+        for G2, k2 in zip(pool, keys):
+            want = reference_rooted_isomorphism(G1, G2)
+            assert rooted_isomorphism(G1, G2) == want
+            assert (k1 == k2) == (want is not None)
+            isomorphic += want is not None
+    assert len(pool) ** 2 >= 1000 and isomorphic >= 100
 
 
 def test_solve_vertex_word_solves_the_relation():

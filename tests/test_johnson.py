@@ -289,6 +289,12 @@ def test_derive_satisfies_the_leibniz_rule(x, y):
     assert lhs == rhs
 
 
+def test_tensor_components_rejects_mixed_genus():
+    values = [TruncatedTensor.letter(1, 0, 3), TruncatedTensor.letter(2, 0, 3)]
+    with pytest.raises(ValueError, match="genus mismatch"):
+        tensor_components(values)
+
+
 def test_derive_replaces_single_letters():
     values = [TruncatedTensor.from_word(1, (1, 0), max_degree=4),
               TruncatedTensor.from_word(1, (0, 0), max_degree=4)]

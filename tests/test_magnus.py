@@ -12,13 +12,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ReferenceMagnusTable, figure_eight, random_walk
+from helpers import (
+    ReferenceMagnusTable,
+    figure_eight,
+    random_walk,
+    reference_lie_pretty,
+)
 from fatmagnus.algebra import (
     TruncatedTensor,
     apply_letter_map,
     exp_t,
     is_lie,
     is_symplectic_matrix,
+    lie_pretty,
     matrix_letter_images,
     right_bracketing,
     symplectic_form,
@@ -392,6 +398,16 @@ def test_dump_table_lists_every_edge():
     for name in symplectic_edge_names(1):
         assert name in out
     assert len(out.splitlines()) >= len(mg.graph.edges)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_lie_pretty_of_table_values_equals_the_greedy_reference(g):
+    path = random_walk(symplectic_graph(g), 2, random.Random(g))
+    for mg in (path.initial, path.final):
+        table = get_table(mg, 5)
+        for eid in mg.graph.edges:
+            x = table.ell(mg.graph.oriented(eid))
+            assert lie_pretty(x) == reference_lie_pretty(x)
 
 
 def test_table_requires_trivalent_graph():
