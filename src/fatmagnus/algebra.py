@@ -74,8 +74,12 @@ def letter_name(genus: int, letter: int) -> str:
 
 
 def letter_index(genus: int, name: str) -> int:
+    """The index of a letter name as letter_name prints it: u1, ..., vg."""
     kind, num = name[:1], name[1:]
-    if kind not in ("u", "v") or not num.isdigit():
+    # ASCII decimal digits with no leading zero, so that only the names
+    # letter_name prints are read back
+    if (kind not in ("u", "v") or not (num.isascii() and num.isdecimal())
+            or len(num) > 1 and num[0] == "0"):
         raise ValueError(f"bad letter name {name!r}")
     i = int(num)
     if not 1 <= i <= genus:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
+    IAMap,
     TruncatedTensor,
     _right_normed,
     is_lie,
@@ -31,7 +32,7 @@ from .algebra import (
     signed_sum,
 )
 from .fatgraph import MovePath, WhiteheadMove
-from .johnson import _contract, tau_move, tensor_components
+from .johnson import _contract, move_ia, move_maps, tensor_components
 
 __all__ = [
     "LIE_DEGREE",
@@ -462,9 +463,15 @@ def j1(move: WhiteheadMove) -> Lambda3:
     return Lambda3.wedge(g, src.h[move.a], src.h[move.b], src.h[move.c])
 
 
+def _bar_degree_two(phi: IAMap) -> H2Element:
+    """Symmetrized degree-two part of a move map through degree three."""
+    return bar_project(tensor_components(
+        [c.graded(LIE_DEGREE) for c in phi.corrections]))
+
+
 def bar_tau2(move: WhiteheadMove) -> H2Element:
     """Symmetrized degree-two value of a single move."""
-    return bar_project(tensor_components(tau_move(move, 2).tau.values[2]))
+    return _bar_degree_two(move_ia(move, 2))
 
 
 @dataclass(frozen=True)
@@ -491,8 +498,13 @@ class J2Value:
         return self.s.is_integral() and self.xi.is_integral()
 
 
+def _j2_of(move: WhiteheadMove, phi: IAMap) -> J2Value:
+    """j2 of a move, given its map phi = move_ia(move, 2)."""
+    return J2Value(_bar_degree_two(phi).scaled(72), j1(move))
+
+
 def j2(move: WhiteheadMove) -> J2Value:
-    return J2Value(bar_tau2(move).scaled(72), j1(move))
+    return _j2_of(move, move_ia(move, 2))
 
 
 def j2_compose(x: J2Value, y: J2Value) -> J2Value:
@@ -518,8 +530,13 @@ def j2_inverse(v: J2Value) -> J2Value:
 
 
 def j2_path(path: MovePath) -> J2Value:
-    """Fold the twisted law over the moves of a path."""
+    """Fold the twisted law over the moves of a path.
+
+    Each move's value is j2 of the move, read off the move maps of
+    johnson.move_maps: one degree-three table is built for the whole
+    path and transported across each move, not rebuilt per move.
+    """
     out = j2_identity(path.initial.genus())
-    for mv in path.moves:
-        out = j2_compose(out, j2(mv))
+    for mv, phi in zip(path.moves, move_maps(path, 2)):
+        out = j2_compose(out, _j2_of(mv, phi))
     return out

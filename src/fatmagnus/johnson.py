@@ -5,14 +5,15 @@ fixes degree one.  A closed Hausdorff-series formula builds it once, from
 the source table alone, as a substitution map (move_ia); tau_move is its
 graded view, linear maps from homology into Lie elements one degree
 higher.  An independent solver recovers the same pieces by comparing the
-two expansion tables, and move paths compose the substitution maps.
+two expansion tables, and move paths compose the substitution maps,
+building one table per path and transporting it across each move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
     IAMap,
@@ -23,7 +24,7 @@ from .algebra import (
     row_reduce,
 )
 from .fatgraph import MarkedFatgraph, MovePath, WhiteheadMove
-from .magnus import get_table
+from .magnus import MagnusTable, get_table
 
 SECTOR_LABELS = ("I", "II", "III", "IV")
 
@@ -247,9 +248,10 @@ def derive(values: Sequence[TruncatedTensor],
 # -- closed formula --------------------------------------------------------
 
 
-def _sector_tails(move: WhiteheadMove, n: int) -> dict[str, TruncatedTensor]:
-    tab = get_table(move.source, n)
-    la, lb, lc, ld = (tab.ell(x)
+def _sector_tails(move: WhiteheadMove,
+                  table: MagnusTable) -> dict[str, TruncatedTensor]:
+    """The four signed corner tails, read off a table of move.source."""
+    la, lb, lc, ld = (table.ell(x)
                       for x in (move.a, move.b, move.c, move.d))
     third = Fraction(1, 3)
     return {
@@ -268,11 +270,25 @@ def sector_contributions(move: WhiteheadMove,
     tail crosses all four corners while carrying zero homology.
     """
     _check_degree(m)
-    tails = _sector_tails(move, m + 1)
+    tails = _sector_tails(move, get_table(move.source, m + 1))
     return tuple(
         SectorContribution(
             lab, {k: tails[lab].graded(k + 1) for k in range(1, m + 1)})
         for lab in SECTOR_LABELS)
+
+
+def _move_map(move: WhiteheadMove, table: MagnusTable) -> IAMap:
+    """move_ia read off a given table of move.source, through its degree."""
+    src = move.source
+    g = src.genus()
+    tails = _sector_tails(move, table)
+    av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
+    # reconstruction from the corner pieces: a(x)I + b(x)(I+II) - c(x)IV,
+    # with the overall orientation pinned against the table-comparison
+    # solver (the corner pieces alone leave a global sign free)
+    parts = [(av, tails["I"]), (bv, tails["I"] + tails["II"]),
+             (cv, -tails["IV"])]
+    return IAMap(g, tensor_values(g, parts), table.max_degree)
 
 
 def move_ia(move: WhiteheadMove, m: int) -> IAMap:
@@ -283,16 +299,7 @@ def move_ia(move: WhiteheadMove, m: int) -> IAMap:
     the surrounding series, all degrees at once.
     """
     _check_degree(m)
-    src = move.source
-    g = src.genus()
-    tails = _sector_tails(move, m + 1)
-    av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
-    # reconstruction from the corner pieces: a(x)I + b(x)(I+II) - c(x)IV,
-    # with the overall orientation pinned against the table-comparison
-    # solver (the corner pieces alone leave a global sign free)
-    parts = [(av, tails["I"]), (bv, tails["I"] + tails["II"]),
-             (cv, -tails["IV"])]
-    return IAMap(g, tensor_values(g, parts), m + 1)
+    return _move_map(move, get_table(move.source, m + 1))
 
 
 def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
@@ -387,7 +394,9 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
 
     Solved degree by degree on a basis of edges the two graphs share
     unchanged (both graphs must use the same edge ids, with the edges in
-    avoid_edges excluded as remarked).
+    avoid_edges excluded as remarked).  An oracle compares two built
+    tables: both come from get_table, never from a table transported
+    along moves, which is itself derived from move maps.
     """
     _check_degree(m)
     if source.genus() != target.genus():
@@ -427,7 +436,9 @@ def tau_move_oracle(move: WhiteheadMove, m: int) -> MoveTau:
 
     Independent of the closed formula: only the moved edge is excluded
     from the solving basis, since its remarking changes the underlying
-    group element.
+    group element.  The two tables compared are both built (get_table),
+    so the check is not circular where the closed formula's maps carry
+    tables along paths (move_maps).
     """
     phi = ia_between(move.source, move.result, {move.edge_id}, m)
     return MoveTau(move, ia_graded(phi))
@@ -436,15 +447,32 @@ def tau_move_oracle(move: WhiteheadMove, m: int) -> MoveTau:
 # -- paths -----------------------------------------------------------------
 
 
+def move_maps(path: MovePath, m: int) -> Iterator[IAMap]:
+    """move_ia(mv, m) for each move of a path, in order, from one build.
+
+    Only the initial graph's table is built (by get_table, which keeps
+    it); every later move reads its source table transported across the
+    move before it with that move's map (MagnusTable.transported).  The
+    table after the last move is never needed, so it is not made.
+    """
+    _check_degree(m)
+    for step, mv in enumerate(path.moves):
+        table = (MagnusTable.transported(table, path.moves[step - 1], phi)
+                 if step else get_table(mv.source, m + 1))
+        phi = _move_map(mv, table)
+        yield phi
+
+
 def tau_path(path: MovePath, m: int) -> GradedTau:
     """Ordered composition of the per-move automorphisms along a path.
 
     The composite carries the final graph's table to the initial one, so
     later moves act first; closed move loops compose to the identity.
+    The move maps come from move_maps: one table build for the whole
+    path, carried forward move by move.
     """
     _check_degree(m)
-    g = path.initial.genus()
-    total = IAMap.identity(g, m + 1)
-    for mv in path.moves:
-        total = move_ia(mv, m).compose(total)
+    total = IAMap.identity(path.initial.genus(), m + 1)
+    for phi in move_maps(path, m):
+        total = phi.compose(total)
     return ia_graded(total)

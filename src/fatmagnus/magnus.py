@@ -16,6 +16,13 @@ the difference at the arc's end, so each edge is reduced once per
 degree.  A table stores ell and nothing it can derive: the integral
 tensors P = 6 ell_2, Q = 36 ell_3 and R = 216 ell_4 are exact rescalings
 of its graded parts, read off on each call.
+
+Along a path of Whitehead moves only the first table needs the sweep.
+The move map phi = move_ia(move, N - 1), read off the source table,
+carries the result's expansion to the source's, so the result table is
+phi^-1 of the source table off the moved edge, and the moved edge closes
+its new vertex (MagnusTable.transported).  get_table builds and keeps
+tables; a transported table is never kept on its graph.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import Optional, Sequence
 
 from .algebra import (
     DEFAULT_MAX_DEGREE,
+    IAMap,
     TruncatedTensor,
     _horner,
     _log_coeffs,
@@ -68,17 +76,16 @@ class MagnusTable:
         self.max_degree = max_degree
         g = mg.genus()
         cycle = G.boundary_cycle()
-        self._cycle = cycle
         pair = G.pair_
         # the half-edges whose tail-avoiding arc runs forward on the cycle
         key = G.chord_key()
-        self._arcs = {h for i, h in enumerate(cycle) if i < key[i]}
+        arcs = {h for i, h in enumerate(cycle) if i < key[i]}
 
         ell = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
-               for h in self._arcs}
+               for h in arcs}
         for n in range(2, max_degree + 1):
             exps = {}
-            for h in self._arcs:
+            for h in arcs:
                 exps[h] = exp_t(ell[h].truncated(n))
                 exps[pair[h]] = antipode(exps[h])
             # the degree-n part of log(exp ell(x) * exp ell(reverse y))
@@ -86,11 +93,56 @@ class MagnusTable:
             coeffs = _log_coeffs(n)
             inc = [_horner(exps[x] * exps[pair[y]], coeffs, n)
                    for x, y in zip(cycle, cycle[1:])]
-            ell = self._arc_sums(inc, n, ell)
-        for h in self._arcs:
+            ell = self._arc_sums(cycle, arcs, inc, n, ell)
+        for h in arcs:
             ell[pair[h]] = -ell[h]
         self._ell = ell
         self._theta: dict[int, TruncatedTensor] = {}
+
+    @classmethod
+    def transported(cls, source: "MagnusTable", move: WhiteheadMove,
+                    phi: IAMap) -> "MagnusTable":
+        """The table of move.result, carried across the move from source.
+
+        source must be the table of move.source and phi the move map
+        move_ia(move, N - 1), of the table's genus and degree N.  phi
+        carries the result's expansion to the source's (naturality of
+        the log of a generalized Magnus expansion, Kawazumi 2005), so
+        every half-edge off the moved edge gets phi^-1 of its source
+        value, its reverse the negative; the moved edge is read off the
+        result vertex (e_head, a, d), where theta multiplies to one:
+        ell(e_head) = -star(ell(d), ell(a)).  The values equal those of
+        MagnusTable(move.result, N).
+
+        The table is not kept on move.result: get_table hands out built
+        tables only, so the oracles ia_between and tau_move_oracle always
+        compare two built tables, never one carried from the other.
+        """
+        if source.mg is not move.source:
+            raise ValueError("the table is not the table of the move's source")
+        mg, N = move.result, source.max_degree
+        g = mg.genus()
+        if (phi.genus, phi.max_degree) != (g, N):
+            raise ValueError(
+                f"move map has genus {phi.genus} and max_degree "
+                f"{phi.max_degree}, not the table's {g} and {N}")
+        back = phi.inverse()
+        G = mg.graph
+        ell = {}
+        for eid, (h, rev) in G.edges.items():
+            if eid != move.edge_id:
+                ell[h] = back.apply(source._ell[h])
+                ell[rev] = -ell[h]
+        head = move.e_head
+        ell[head] = -star(ell[move.d], ell[move.a])
+        ell[G.reverse(head)] = -ell[head]
+        table = object.__new__(cls)
+        table._mg = weakref.ref(mg)
+        table.graph = G
+        table.max_degree = N
+        table._ell = ell
+        table._theta = {}
+        return table
 
     @property
     def mg(self) -> Optional[MarkedFatgraph]:
@@ -124,7 +176,8 @@ class MagnusTable:
 
     # -- the arc sweep -----------------------------------------------------
 
-    def _arc_sums(self, inc: list[TruncatedTensor], n: int,
+    def _arc_sums(self, cycle: list[int], arcs: set[int],
+                  inc: list[TruncatedTensor], n: int,
                   base: dict[int, TruncatedTensor]
                   ) -> dict[int, TruncatedTensor]:
         """base[h] - (inc[p] + ... + inc[q - 1]) / 3 on each arc [p..q].
@@ -141,8 +194,8 @@ class MagnusTable:
         run: dict[int, int] = {}
         opened: dict[int, dict[int, int]] = {}
         out = {}
-        for j, h in enumerate(self._cycle):
-            if h in self._arcs:
+        for j, h in enumerate(cycle):
+            if h in arcs:
                 opened[h] = dict(run)
             else:
                 h = pair[h]

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and small utilities for the test suite."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from fatmagnus.fatgraph import (
     MarkedFatgraph,
     apply_path,
     solve_vertex_word,
+    symplectic_graph,
     w_abelianize,
     w_inv,
     whitehead,
@@ -83,6 +85,18 @@ def random_walk(mg, steps, rng):
         ids.append(eid)
         cur = whitehead(cur, eid).result
     return apply_path(mg, ids)
+
+
+def wedge_rich_path():
+    """A 10-move genus-2 path on which 9 moves have a nonzero j1.
+
+    The last 10 moves of the 40-move random walk from symplectic_graph(2)
+    with seed 0, so folding j2 along it exercises the twisted term.  Each
+    call rebuilds the graphs, so no two calls share a cached table.
+    """
+    ids = random_walk(symplectic_graph(2), 40, random.Random(0)).edge_ids
+    start = apply_path(symplectic_graph(2), ids[:30]).final
+    return apply_path(start, ids[30:])
 
 
 def random_symplectic_matrix(genus, rng, transvections=3):
@@ -525,10 +539,11 @@ def reference_bracket_map(values):
 def reference_tau_move(move, m):
     """The closed formula sliced degree by degree into a GradedTau."""
     from fatmagnus.johnson import GradedTau, MoveTau, _sector_tails
+    from fatmagnus.magnus import get_table
 
     src = move.source
     g = src.genus()
-    tails = _sector_tails(move, m + 1)
+    tails = _sector_tails(move, get_table(src, m + 1))
     av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
     values = {}
     for k in range(1, m + 1):

@@ -72,6 +72,13 @@ def test_letter_index_rejects_an_empty_name():
         letter_index(1, "")
 
 
+@pytest.mark.parametrize("name", ["u01", "u\u00b2", "v\u0663"])
+def test_letter_index_rejects_names_letter_name_never_prints(name):
+    # a leading zero, a superscript digit and a non-ASCII decimal digit
+    with pytest.raises(ValueError, match=f"bad letter name {name!r}"):
+        letter_index(3, name)
+
+
 def test_product_truncates():
     u, v = letters(1, 2)
     one = TruncatedTensor.unit(1, 2)

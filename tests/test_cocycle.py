@@ -20,6 +20,7 @@ from helpers import (
     reference_bar_components,
     reference_morita_pair,
     reference_varpi,
+    wedge_rich_path,
 )
 from fatmagnus.algebra import TruncatedTensor
 from fatmagnus.cocycle import (
@@ -557,6 +558,20 @@ def test_composition_reproduces_whole_path_values():
             assert wrong != got.s
             discriminated += 1
     assert discriminated >= 2
+
+
+def test_path_value_is_the_fold_of_move_values_on_built_tables():
+    # j2_path transports one table along the path; each j2(mv) here reads
+    # a table built from scratch on a fresh copy of the path
+    path = wedge_rich_path()
+    fold = j2_identity(2)
+    twisted = 0
+    for mv in wedge_rich_path().moves:
+        v = j2(mv)
+        twisted += not morita_pair(fold.xi, v.xi).is_zero()
+        fold = j2_compose(fold, v)
+    assert j2_path(path) == fold
+    assert twisted >= 2 and fold.is_integral()
 
 
 def test_loop_values_cancel():

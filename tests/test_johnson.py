@@ -26,14 +26,17 @@ from helpers import (
     reference_tensor_values,
     single_sector_vector,
     tensors,
+    wedge_rich_path,
 )
 from fatmagnus.algebra import (
+    IAMap,
     TruncatedTensor,
     apply_letter_map,
     dot,
     matrix_letter_images,
     symplectic_form,
 )
+from fatmagnus.cocycle import j2_path
 from fatmagnus.fatgraph import (
     MovePath,
     apply_path,
@@ -56,6 +59,7 @@ from fatmagnus.johnson import (
     ia_between,
     ia_graded,
     move_ia,
+    move_maps,
     sector_contributions,
     tau2_closed,
     tau3_closed,
@@ -237,7 +241,7 @@ def test_duality_is_one_signed_permutation_on_move_data():
     for g, m, moves in reference_walks():
         for mv in moves:
             src = mv.source
-            tails = _sector_tails(mv, m + 1)
+            tails = _sector_tails(mv, get_table(src, m + 1))
             parts = [(src.h[mv.a], tails["I"]), (src.h[mv.b], tails["II"]),
                      (src.h[mv.c], tails["IV"])]
             fractional += any(Fraction(x).denominator > 1
@@ -549,6 +553,34 @@ def test_two_move_paths_match_the_end_to_end_solver():
             checked += 1
             cur = path.final
     assert checked >= 6
+
+
+def test_path_maps_equal_the_move_maps_of_built_tables():
+    # tau_path transports one table along the path; the per-move maps
+    # here each read a table built from scratch on a fresh copy
+    path = wedge_rich_path()
+    built = [move_ia(mv, 2) for mv in wedge_rich_path().moves]
+    assert list(move_maps(path, 2)) == built
+    total = IAMap.identity(2, 3)
+    for phi in built:
+        total = phi.compose(total)
+    tau = tau_path(path, 2)
+    assert tau == ia_graded(total)
+    assert not all(v.is_zero() for v in tau.values[1])
+
+
+def test_path_values_leave_the_oracles_two_built_tables():
+    # only the initial table is built and kept; the solver then compares
+    # the initial table with the final one built from scratch
+    path = random_walk(symplectic_graph(2), 3, random.Random(11))
+    tau = tau_path(path, 4)
+    j2_path(path)
+    assert set(path.initial.magnus_tables) == {3, 5}
+    assert all(mv.result.magnus_tables == {} for mv in path.moves)
+    phi = ia_between(path.initial, path.final, set(path.edge_ids), 4)
+    assert ia_graded(phi) == tau
+    for mv in path.moves:
+        assert tau_move_oracle(mv, 3).tau == tau_move(mv, 3).tau
 
 
 def test_composite_degree_two_adds_a_mixing_term():

@@ -19,6 +19,7 @@ from helpers import (
     reference_lie_pretty,
 )
 from fatmagnus.algebra import (
+    IAMap,
     TruncatedTensor,
     apply_letter_map,
     exp_t,
@@ -35,6 +36,7 @@ from fatmagnus.fatgraph import (
     symplectic_graph,
     whitehead,
 )
+from fatmagnus.johnson import _move_map, move_ia
 from fatmagnus.magnus import (
     MagnusTable,
     check_relations,
@@ -245,6 +247,56 @@ def test_build_equals_the_prefix_sum_reference(g):
             assert tab.P(h) == ref.P[h]
             assert tab.Q(h) == ref.Q[h]
             assert tab.R(h) == ref.R[h]
+
+
+def theta_closes(tab, mg):
+    """theta multiplies to one around every vertex but the tail's."""
+    G = mg.graph
+    unit = TruncatedTensor.unit(mg.genus(), tab.max_degree)
+    tail_v = G.vertex_of[G.tail]
+    for vi, v in enumerate(G.vertices):
+        if vi != tail_v:
+            prod = unit
+            for x in reversed(v):
+                prod = prod * tab.theta(x)
+            if prod != unit:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("g,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_transported_tables_equal_the_built_tables(g, n):
+    # whole-table naturality: each table along a walk, carried from the
+    # one before by the move map read off it, is the table built from
+    # scratch
+    path = random_walk(symplectic_graph(g), 5, random.Random(100 * g))
+    tab = get_table(path.initial, n)
+    for mv in path.moves:
+        tab = MagnusTable.transported(tab, mv, _move_map(mv, tab))
+        built = MagnusTable(mv.result, n)
+        assert tab.mg is mv.result and tab.graph is mv.result.graph
+        assert tab.max_degree == n
+        for h in mv.result.graph.half_edges:
+            assert tab.ell(h) == built.ell(h)
+        assert theta_closes(tab, mv.result)
+        # transported tables are never kept on their graph
+        assert mv.result.magnus_tables == {}
+
+
+def test_transport_rejects_a_foreign_table_and_a_misshapen_map():
+    path = random_walk(symplectic_graph(2), 2, random.Random(3))
+    first, second = path.moves
+    tab = get_table(first.source, 3)
+    phi = move_ia(first, 2)
+    with pytest.raises(ValueError, match="not the table of the move's source"):
+        MagnusTable.transported(tab, second, phi)
+    with pytest.raises(ValueError, match="not the table of the move's source"):
+        MagnusTable.transported(get_table(first.result, 3), first, phi)
+    with pytest.raises(ValueError, match="max_degree 4, not the table's 2 and 3"):
+        MagnusTable.transported(tab, first, move_ia(first, 3))
+    with pytest.raises(ValueError, match="genus 1 and max_degree 3, not the "
+                                         "table's 2 and 3"):
+        MagnusTable.transported(tab, first, IAMap.identity(1, 3))
 
 
 def test_expansion_ignores_the_pi_marking():
