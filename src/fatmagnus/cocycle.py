@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
-    IAMap,
     TruncatedTensor,
     _right_normed,
     is_lie,
@@ -32,7 +31,8 @@ from .algebra import (
     signed_sum,
 )
 from .fatgraph import MovePath, WhiteheadMove
-from .johnson import _contract, move_ia, move_maps, tensor_components
+from .johnson import (_contract, _path_steps, derive, move_ia,
+                      tensor_components)
 
 __all__ = [
     "LIE_DEGREE",
@@ -463,15 +463,15 @@ def j1(move: WhiteheadMove) -> Lambda3:
     return Lambda3.wedge(g, src.h[move.a], src.h[move.b], src.h[move.c])
 
 
-def _bar_degree_two(phi: IAMap) -> H2Element:
-    """Symmetrized degree-two part of a move map through degree three."""
+def _bar_degree_two(corrections: Sequence[TruncatedTensor]) -> H2Element:
+    """Symmetrized degree-two part of a move map's corrections."""
     return bar_project(tensor_components(
-        [c.graded(LIE_DEGREE) for c in phi.corrections]))
+        [c.graded(LIE_DEGREE) for c in corrections]))
 
 
 def bar_tau2(move: WhiteheadMove) -> H2Element:
     """Symmetrized degree-two value of a single move."""
-    return _bar_degree_two(move_ia(move, 2))
+    return _bar_degree_two(move_ia(move, 2).corrections)
 
 
 @dataclass(frozen=True)
@@ -498,13 +498,13 @@ class J2Value:
         return self.s.is_integral() and self.xi.is_integral()
 
 
-def _j2_of(move: WhiteheadMove, phi: IAMap) -> J2Value:
-    """j2 of a move, given its map phi = move_ia(move, 2)."""
-    return J2Value(_bar_degree_two(phi).scaled(72), j1(move))
+def _j2_of(move: WhiteheadMove, corr: Sequence[TruncatedTensor]) -> J2Value:
+    """j2 of a move, given the corrections of move_ia(move, 2)."""
+    return J2Value(_bar_degree_two(corr).scaled(72), j1(move))
 
 
 def j2(move: WhiteheadMove) -> J2Value:
-    return _j2_of(move, move_ia(move, 2))
+    return _j2_of(move, move_ia(move, 2).corrections)
 
 
 def j2_compose(x: J2Value, y: J2Value) -> J2Value:
@@ -532,11 +532,19 @@ def j2_inverse(v: J2Value) -> J2Value:
 def j2_path(path: MovePath) -> J2Value:
     """Fold the twisted law over the moves of a path.
 
-    Each move's value is j2 of the move, read off the move maps of
-    johnson.move_maps: one degree-three table is built for the whole
-    path and transported across each move, not rebuilt per move.
+    Each move's value is j2 of the move, read off its correction C in
+    the initial frame (johnson._path_steps, one table per path): C is
+    its own correction c through the map Psi of the earlier moves, whose
+    degree-two part S sums their C_2, so through degree three C = c +
+    D_S(c_2), with D_S the derivation extending S (johnson.derive), and
+    c_3 = C_3 - D_S(C_2).  Raises ValueError on a non-geometric marking.
     """
-    out = j2_identity(path.initial.genus())
-    for mv, phi in zip(path.moves, move_maps(path, 2)):
-        out = j2_compose(out, _j2_of(mv, phi))
+    g = path.initial.genus()
+    out = j2_identity(g)
+    s = [TruncatedTensor(g, LIE_DEGREE)] * (2 * g)
+    for mv, _, corr in _path_steps(path, 2):
+        c2 = [c.graded(2) for c in corr]
+        out = j2_compose(out, _j2_of(
+            mv, [c - derive(s, x) for c, x in zip(corr, c2)]))
+        s = [a + b for a, b in zip(s, c2)]
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import dot, row_reduce
+from .algebra import dot, is_symplectic_matrix, row_reduce
 
 Word = tuple[int, ...]
 
@@ -303,7 +303,8 @@ class MarkedFatgraph:
     Validation is eager and raises ValueError with a diagnostic.
     edge_names maps construction names to edge ids where a constructor
     gives them; magnus_tables holds the expansion tables built for this
-    graph, by degree (see magnus.get_table).
+    graph, by degree (see magnus.get_table).  is_geometric is set by the
+    constructors that can tell and computed once, on ask, otherwise.
     """
 
     def __init__(self, graph: Fatgraph, h: Mapping[int, Sequence],
@@ -317,6 +318,7 @@ class MarkedFatgraph:
             self.pi = {half: w_reduce(word) for half, word in pi.items()}
         self.edge_names: dict[str, int] = {}
         self.magnus_tables: dict[int, object] = {}
+        self._geometric: Optional[bool] = None
         self._validate()
 
     def genus(self) -> int:
@@ -384,20 +386,33 @@ class MarkedFatgraph:
             [self.h[half] for half in sorted(self.graph.half_edges)])
         return len(pivots)
 
+    def _mismatch(self) -> Optional[tuple[int, int, int, Fraction]]:
+        """(a, b, linking, pairing) for the first half-edge pair whose
+        boundary linking and marking pairing differ, or None."""
+        G, h, halves = self.graph, self.h, sorted(self.graph.half_edges)
+        return next(((a, b, G.skew_pair(a, b), dot(h[a], h[b]))
+                     for i, a in enumerate(halves) for b in halves[i + 1:]
+                     if G.skew_pair(a, b) != dot(h[a], h[b])), None)
+
     def is_geometric(self) -> bool:
         """Whether the boundary linking of every edge pair matches the
         symplectic pairing of the H-marking vectors."""
-        halves = sorted(self.graph.half_edges)
-        for i, a in enumerate(halves):
-            for b in halves[i + 1:]:
-                if self.graph.skew_pair(a, b) != dot(self.h[a], self.h[b]):
-                    return False
-        return True
+        if self._geometric is None:
+            self._geometric = self._mismatch() is None
+        return self._geometric
+
+    def check_geometric(self) -> None:
+        """Raise ValueError naming a pair that breaks is_geometric."""
+        if not self.is_geometric():
+            raise ValueError("marking is not geometric: half-edges %d and %d "
+                             "link %s on the boundary but their markings "
+                             "pair to %s" % self._mismatch())
 
     def apply_basis_change(self, matrix: Sequence[Sequence]) -> "MarkedFatgraph":
         """Replace every marking vector v by v . matrix (rows are the images
         of the basis letters). The pi-marking does not transport and is
-        dropped."""
+        dropped.  A geometric marking stays geometric iff the matrix is
+        symplectic."""
         g = self.genus()
         n = 2 * g
         if len(matrix) != n or any(len(r) != n for r in matrix):
@@ -410,7 +425,10 @@ class MarkedFatgraph:
                     for j in range(n):
                         out[j] += c * Fraction(matrix[i][j])
             new_h[half] = tuple(out)
-        return MarkedFatgraph(self.graph, new_h, None)
+        moved = MarkedFatgraph(self.graph, new_h, None)
+        if self._geometric:
+            moved._geometric = is_symplectic_matrix(g, matrix)
+        return moved
 
 
 # -- Whitehead moves -------------------------------------------------------
@@ -472,6 +490,7 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
         pi2[e1] = f_word
         pi2[e0] = w_inv(f_word)
     result = MarkedFatgraph(graph2, h2, pi2)
+    result._geometric = mg._geometric  # a move keeps it either way
     return WhiteheadMove(mg, result, edge_id, a, b, c, d, e1)
 
 
@@ -655,6 +674,7 @@ def symplectic_graph(g: int) -> MarkedFatgraph:
     h = {half: w_abelianize(word, 2 * g) for half, word in pi.items()}
     mg = MarkedFatgraph(graph, h, pi)
     mg.edge_names = names
+    mg._geometric = True
     return mg
 
 

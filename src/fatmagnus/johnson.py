@@ -5,8 +5,9 @@ fixes degree one.  A closed Hausdorff-series formula builds it once, from
 the source table alone, as a substitution map (move_ia); tau_move is its
 graded view, linear maps from homology into Lie elements one degree
 higher.  An independent solver recovers the same pieces by comparing the
-two expansion tables, and move paths compose the substitution maps,
-building one table per path and transporting it across each move.
+two expansion tables.  A path's map (path_ia) is one sum in the initial
+frame: each move adds its formula read off the initial table, changed
+only on the edges moved so far; no map is applied, inverted or composed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .algebra import (
     is_lie,
     letter_name,
     row_reduce,
+    star,
 )
 from .fatgraph import MarkedFatgraph, MovePath, WhiteheadMove
-from .magnus import MagnusTable, get_table
+from .magnus import get_table
 
 SECTOR_LABELS = ("I", "II", "III", "IV")
 
@@ -248,11 +250,11 @@ def derive(values: Sequence[TruncatedTensor],
 # -- closed formula --------------------------------------------------------
 
 
-def _sector_tails(move: WhiteheadMove,
-                  table: MagnusTable) -> dict[str, TruncatedTensor]:
-    """The four signed corner tails, read off a table of move.source."""
-    la, lb, lc, ld = (table.ell(x)
-                      for x in (move.a, move.b, move.c, move.d))
+def _sector_tails(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor]
+                  ) -> dict[str, TruncatedTensor]:
+    """The four signed corner tails, read off the ell values of a table
+    of move.source."""
+    la, lb, lc, ld = (ell[x] for x in (move.a, move.b, move.c, move.d))
     third = Fraction(1, 3)
     return {
         "I": hausdorff_tail(lb, lc).scaled(-third),
@@ -270,25 +272,27 @@ def sector_contributions(move: WhiteheadMove,
     tail crosses all four corners while carrying zero homology.
     """
     _check_degree(m)
-    tails = _sector_tails(move, get_table(move.source, m + 1))
+    tails = _sector_tails(move, get_table(move.source, m + 1).ell_map)
     return tuple(
         SectorContribution(
             lab, {k: tails[lab].graded(k + 1) for k in range(1, m + 1)})
         for lab in SECTOR_LABELS)
 
 
-def _move_map(move: WhiteheadMove, table: MagnusTable) -> IAMap:
-    """move_ia read off a given table of move.source, through its degree."""
+def _move_map(move: WhiteheadMove,
+              ell: Mapping[int, TruncatedTensor]) -> IAMap:
+    """move_ia read off the ell values of a table of move.source, through
+    their degree."""
     src = move.source
     g = src.genus()
-    tails = _sector_tails(move, table)
+    tails = _sector_tails(move, ell)
     av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
     # reconstruction from the corner pieces: a(x)I + b(x)(I+II) - c(x)IV,
     # with the overall orientation pinned against the table-comparison
     # solver (the corner pieces alone leave a global sign free)
     parts = [(av, tails["I"]), (bv, tails["I"] + tails["II"]),
              (cv, -tails["IV"])]
-    return IAMap(g, tensor_values(g, parts), table.max_degree)
+    return IAMap(g, tensor_values(g, parts), tails["I"].max_degree)
 
 
 def move_ia(move: WhiteheadMove, m: int) -> IAMap:
@@ -296,15 +300,16 @@ def move_ia(move: WhiteheadMove, m: int) -> IAMap:
 
     Built from the source table alone: three times the correction is the
     homology tensor with the labels a, b, c against Hausdorff tails of
-    the surrounding series, all degrees at once.
+    the surrounding series, all degrees at once.  It is the move
+    automorphism only on a geometric marking, which is not checked here.
     """
     _check_degree(m)
-    return _move_map(move, get_table(move.source, m + 1))
+    return _move_map(move, get_table(move.source, m + 1).ell_map)
 
 
 def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
     """All graded pieces of the move automorphism through degree m: the
-    graded view of move_ia."""
+    graded view of move_ia, so valid on geometric markings only."""
     return MoveTau(move, ia_graded(move_ia(move, m)))
 
 
@@ -395,8 +400,8 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
     Solved degree by degree on a basis of edges the two graphs share
     unchanged (both graphs must use the same edge ids, with the edges in
     avoid_edges excluded as remarked).  An oracle compares two built
-    tables: both come from get_table, never from a table transported
-    along moves, which is itself derived from move maps.
+    tables: both come from get_table, never from a table derived from
+    move maps.
     """
     _check_degree(m)
     if source.genus() != target.genus():
@@ -437,8 +442,8 @@ def tau_move_oracle(move: WhiteheadMove, m: int) -> MoveTau:
     Independent of the closed formula: only the moved edge is excluded
     from the solving basis, since its remarking changes the underlying
     group element.  The two tables compared are both built (get_table),
-    so the check is not circular where the closed formula's maps carry
-    tables along paths (move_maps).
+    so the check is not circular where the closed formula reads tables
+    pulled back along paths (path_ia).
     """
     phi = ia_between(move.source, move.result, {move.edge_id}, m)
     return MoveTau(move, ia_graded(phi))
@@ -447,32 +452,41 @@ def tau_move_oracle(move: WhiteheadMove, m: int) -> MoveTau:
 # -- paths -----------------------------------------------------------------
 
 
-def move_maps(path: MovePath, m: int) -> Iterator[IAMap]:
-    """move_ia(mv, m) for each move of a path, in order, from one build.
-
-    Only the initial graph's table is built (by get_table, which keeps
-    it); every later move reads its source table transported across the
-    move before it with that move's map (MagnusTable.transported).  The
-    table after the last move is never needed, so it is not made.
-    """
+def _path_steps(path: MovePath, m: int) -> Iterator[tuple[
+        WhiteheadMove, Mapping[int, TruncatedTensor], list[TruncatedTensor]]]:
+    """(move, L, C) per move of a path on a geometric marking: L is the
+    table of move.source pulled back to the initial graph by the map Psi
+    of the moves before it, C = Psi(move_ia corrections) the formula
+    read off L.  Psi commutes with star and fixes L off the moved edges;
+    the new edge closes its vertex, L(e_head) = -star(L(d), L(a))."""
     _check_degree(m)
+    path.initial.check_geometric()
+    ell = get_table(path.initial, m + 1).ell_map
     for step, mv in enumerate(path.moves):
-        table = (MagnusTable.transported(table, path.moves[step - 1], phi)
-                 if step else get_table(mv.source, m + 1))
-        phi = _move_map(mv, table)
-        yield phi
+        yield mv, ell, _move_map(mv, ell).corrections
+        if step + 1 < len(path.moves):  # no table after the last move
+            head = -star(ell[mv.d], ell[mv.a])
+            rev = mv.source.graph.pair_[mv.e_head]
+            ell = {**ell, mv.e_head: head, rev: -head}
+
+
+def path_ia(path: MovePath, m: int) -> IAMap:
+    """The path automorphism through degree m + 1, carrying the final
+    table to the initial one: Psi_k = phi_1 o ... o phi_k for the move
+    maps phi_k(x_i) = x_i + c_i, so later moves act first.  Psi_{k-1} is
+    an algebra automorphism, so
+
+        Psi_k(x_i) = Psi_{k-1}(x_i) + C_i^(k),  C^(k) = Psi_{k-1}(c),
+
+    read off the pulled-back table (_path_steps): the corrections are
+    the sum of the C^(k), the identity on the empty path.  Raises
+    ValueError on a non-geometric initial marking."""
+    g, n = path.initial.genus(), m + 1
+    steps = [corr for _, _, corr in _path_steps(path, m)]
+    return IAMap(g, [TruncatedTensor.combination(
+        g, [(1, corr[i]) for corr in steps], n) for i in range(2 * g)], n)
 
 
 def tau_path(path: MovePath, m: int) -> GradedTau:
-    """Ordered composition of the per-move automorphisms along a path.
-
-    The composite carries the final graph's table to the initial one, so
-    later moves act first; closed move loops compose to the identity.
-    The move maps come from move_maps: one table build for the whole
-    path, carried forward move by move.
-    """
-    _check_degree(m)
-    total = IAMap.identity(path.initial.genus(), m + 1)
-    for phi in move_maps(path, m):
-        total = phi.compose(total)
-    return ia_graded(total)
+    """Graded pieces of the path automorphism path_ia through degree m."""
+    return ia_graded(path_ia(path, m))

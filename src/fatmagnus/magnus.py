@@ -17,23 +17,21 @@ degree.  A table stores ell and nothing it can derive: the integral
 tensors P = 6 ell_2, Q = 36 ell_3 and R = 216 ell_4 are exact rescalings
 of its graded parts, read off on each call.
 
-Along a path of Whitehead moves only the first table needs the sweep.
-The move map phi = move_ia(move, N - 1), read off the source table,
-carries the result's expansion to the source's, so the result table is
-phi^-1 of the source table off the moved edge, and the moved edge closes
-its new vertex (MagnusTable.transported).  get_table builds and keeps
-tables; a transported table is never kept on its graph.
+Along a path of Whitehead moves only the first table needs the sweep:
+by naturality of the log expansion (Kawazumi 2005) each later table,
+pulled back to the initial graph, changes only on the moved edge, so
+johnson.path_ia reads every move off the initial table.
 """
 
 from __future__ import annotations
 
 import weakref
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .algebra import (
     DEFAULT_MAX_DEGREE,
-    IAMap,
     TruncatedTensor,
     _horner,
     _log_coeffs,
@@ -97,52 +95,8 @@ class MagnusTable:
         for h in arcs:
             ell[pair[h]] = -ell[h]
         self._ell = ell
+        self.ell_map = MappingProxyType(ell)  # ell of every half-edge
         self._theta: dict[int, TruncatedTensor] = {}
-
-    @classmethod
-    def transported(cls, source: "MagnusTable", move: WhiteheadMove,
-                    phi: IAMap) -> "MagnusTable":
-        """The table of move.result, carried across the move from source.
-
-        source must be the table of move.source and phi the move map
-        move_ia(move, N - 1), of the table's genus and degree N.  phi
-        carries the result's expansion to the source's (naturality of
-        the log of a generalized Magnus expansion, Kawazumi 2005), so
-        every half-edge off the moved edge gets phi^-1 of its source
-        value, its reverse the negative; the moved edge is read off the
-        result vertex (e_head, a, d), where theta multiplies to one:
-        ell(e_head) = -star(ell(d), ell(a)).  The values equal those of
-        MagnusTable(move.result, N).
-
-        The table is not kept on move.result: get_table hands out built
-        tables only, so the oracles ia_between and tau_move_oracle always
-        compare two built tables, never one carried from the other.
-        """
-        if source.mg is not move.source:
-            raise ValueError("the table is not the table of the move's source")
-        mg, N = move.result, source.max_degree
-        g = mg.genus()
-        if (phi.genus, phi.max_degree) != (g, N):
-            raise ValueError(
-                f"move map has genus {phi.genus} and max_degree "
-                f"{phi.max_degree}, not the table's {g} and {N}")
-        back = phi.inverse()
-        G = mg.graph
-        ell = {}
-        for eid, (h, rev) in G.edges.items():
-            if eid != move.edge_id:
-                ell[h] = back.apply(source._ell[h])
-                ell[rev] = -ell[h]
-        head = move.e_head
-        ell[head] = -star(ell[move.d], ell[move.a])
-        ell[G.reverse(head)] = -ell[head]
-        table = object.__new__(cls)
-        table._mg = weakref.ref(mg)
-        table.graph = G
-        table.max_degree = N
-        table._ell = ell
-        table._theta = {}
-        return table
 
     @property
     def mg(self) -> Optional[MarkedFatgraph]:
@@ -267,8 +221,12 @@ def check_relations(move: WhiteheadMove,
     ell_1 sums to zero around the vertex and across the move, P = 6 ell_2
     meets the vertex and move bracket identities and Q = 36 ell_3 the
     vertex one.  Returns None if everything holds, else a description of
-    the first violated relation.
+    the first violated relation.  Below degree three P or Q is cut off,
+    so max_degree must be at least 3.
     """
+    if max_degree < 3:
+        raise ValueError(
+            f"check_relations needs max_degree >= 3, got {max_degree}")
     t = get_table(move.source, max_degree)
     a, b, c, d, e = move.a, move.b, move.c, move.d, move.e_head
     fa, fb, fc, fd, fe = (t.ell(x).graded(1) for x in (a, b, c, d, e))

@@ -543,7 +543,7 @@ def reference_tau_move(move, m):
 
     src = move.source
     g = src.genus()
-    tails = _sector_tails(move, get_table(src, m + 1))
+    tails = _sector_tails(move, get_table(src, m + 1).ell_map)
     av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
     values = {}
     for k in range(1, m + 1):

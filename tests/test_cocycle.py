@@ -561,7 +561,7 @@ def test_composition_reproduces_whole_path_values():
 
 
 def test_path_value_is_the_fold_of_move_values_on_built_tables():
-    # j2_path transports one table along the path; each j2(mv) here reads
+    # j2_path reads each move off one pulled-back table; each j2(mv) here reads
     # a table built from scratch on a fresh copy of the path
     path = wedge_rich_path()
     fold = j2_identity(2)

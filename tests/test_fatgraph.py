@@ -377,6 +377,39 @@ def test_geometricity_is_transported():
     path = random_walk(symplectic_graph(2), 12, rng)
     for mv in path.moves:
         assert mv.result.is_geometric()
+        # the copied flag agrees with a fresh computation
+        assert MarkedFatgraph(mv.result.graph, mv.result.h).is_geometric()
+    flip = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    off = symplectic_graph(2).apply_basis_change(flip)
+    for mv in random_walk(off, 12, rng).moves:
+        assert not mv.result.is_geometric()
+        assert not MarkedFatgraph(mv.result.graph, mv.result.h).is_geometric()
+
+
+def test_geometricity_is_known_by_construction():
+    # constructors that can tell set the flag; other graphs compute it
+    # once, on first ask
+    mg = symplectic_graph(2)
+    assert mg._geometric is True
+    assert whitehead(mg, mg.graph.movable_edges()[0]).result._geometric
+    flip = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    off = mg.apply_basis_change(flip)
+    assert off._geometric is False
+    assert whitehead(off, off.graph.movable_edges()[0]).result._geometric \
+        is False
+    # a non-symplectic matrix can undo a non-geometric marking, so from
+    # one the result is left to compute
+    back = off.apply_basis_change(flip)
+    assert back._geometric is None
+    assert back.is_geometric() and back._geometric is True
+    bare = MarkedFatgraph(mg.graph, mg.h)
+    assert bare._geometric is None
+    assert bare.is_geometric() and bare._geometric is True
+    mg.check_geometric()
+    with pytest.raises(ValueError, match=r"not geometric: half-edges \d+ "
+                                         r"and \d+ link -?\d+ on the boundary "
+                                         r"but their markings pair to -?\d+"):
+        off.check_geometric()
 
 
 def test_apply_path_records_and_reports():

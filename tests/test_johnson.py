@@ -59,7 +59,7 @@ from fatmagnus.johnson import (
     ia_between,
     ia_graded,
     move_ia,
-    move_maps,
+    path_ia,
     sector_contributions,
     tau2_closed,
     tau3_closed,
@@ -241,7 +241,7 @@ def test_duality_is_one_signed_permutation_on_move_data():
     for g, m, moves in reference_walks():
         for mv in moves:
             src = mv.source
-            tails = _sector_tails(mv, get_table(src, m + 1))
+            tails = _sector_tails(mv, get_table(src, m + 1).ell_map)
             parts = [(src.h[mv.a], tails["I"]), (src.h[mv.b], tails["II"]),
                      (src.h[mv.c], tails["IV"])]
             fractional += any(Fraction(x).denominator > 1
@@ -555,18 +555,78 @@ def test_two_move_paths_match_the_end_to_end_solver():
     assert checked >= 6
 
 
+def built_fold(moves, m):
+    """The composite of move_ia over moves, each read off a built table."""
+    g = moves[0].source.genus()
+    total = IAMap.identity(g, m + 1)
+    for mv in moves:
+        total = move_ia(mv, m).compose(total)
+    return total
+
+
 def test_path_maps_equal_the_move_maps_of_built_tables():
-    # tau_path transports one table along the path; the per-move maps
-    # here each read a table built from scratch on a fresh copy
+    # path_ia sums corrections read off one pulled-back table; the
+    # per-move maps here each read a table built from scratch on a fresh
+    # copy of the path
     path = wedge_rich_path()
-    built = [move_ia(mv, 2) for mv in wedge_rich_path().moves]
-    assert list(move_maps(path, 2)) == built
-    total = IAMap.identity(2, 3)
-    for phi in built:
-        total = phi.compose(total)
+    total = built_fold(wedge_rich_path().moves, 2)
+    assert path_ia(path, 2) == total
     tau = tau_path(path, 2)
     assert tau == ia_graded(total)
     assert not all(v.is_zero() for v in tau.values[1])
+
+
+@pytest.mark.parametrize("g,steps,m", [(1, 6, 4), (2, 12, 3), (3, 4, 3),
+                                       (4, 3, 2)])
+def test_path_map_is_the_fold_of_built_move_maps(g, steps, m):
+    path = random_walk(symplectic_graph(g), steps, random.Random(40 + g))
+    fresh = apply_path(symplectic_graph(g), path.edge_ids)
+    assert path_ia(path, m) == built_fold(fresh.moves, m)
+
+
+def test_path_map_on_a_fractional_geometric_marking():
+    # diag(3, 1, 1/3, 1) preserves the pairing, so the closed formula
+    # and the path sum still hold on its Fraction markings; the last
+    # three moves leave a spanning basis of edges for the solver
+    third = [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(1, 3), 0],
+             [0, 0, 0, 1]]
+    start = symplectic_graph(2).apply_basis_change(third)
+    path = random_walk(start, 8, random.Random(7))
+    assert any(Fraction(x).denominator > 1
+               for vec in path.final.h.values() for x in vec)
+    fresh = apply_path(symplectic_graph(2).apply_basis_change(third),
+                       path.edge_ids)
+    assert path_ia(path, 3) == built_fold(fresh.moves, 3)
+    for mv in path.moves:
+        assert tau_move(mv, 2).tau == tau_move_oracle(mv, 2).tau
+    tail = MovePath(path.moves[5].source, path.moves[5:])
+    phi = ia_between(tail.initial, tail.final, set(tail.edge_ids), 3)
+    assert phi == path_ia(tail, 3)
+
+
+def test_empty_path_gives_the_identity():
+    for g in (1, 2):
+        empty = MovePath(symplectic_graph(g), ())
+        assert path_ia(empty, 3) == IAMap.identity(g, 4)
+        assert tau_path(empty, 3).is_zero()
+        assert tau_path(empty, 3).degrees() == (1, 2, 3)
+        assert j2_path(empty).is_zero()
+
+
+@pytest.mark.parametrize("last", [Fraction(1, 2), 1])
+def test_path_maps_reject_a_non_geometric_marking(last):
+    # off geometric markings naturality fails: the closed formula
+    # disagrees with the solver on a move, so a path sum would be wrong
+    diag = [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, last]]
+    start = symplectic_graph(2).apply_basis_change(diag)
+    path = random_walk(start, 8, random.Random(7))
+    mv = path.moves[0]
+    assert tau_move(mv, 2).tau != tau_move_oracle(mv, 2).tau
+    for run in (lambda: path_ia(path, 2), lambda: tau_path(path, 2),
+                lambda: j2_path(path)):
+        with pytest.raises(ValueError, match=r"not geometric: half-edges "
+                                             r"\d+ and \d+ link"):
+            run()
 
 
 def test_path_values_leave_the_oracles_two_built_tables():

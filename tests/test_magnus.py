@@ -19,7 +19,6 @@ from helpers import (
     reference_lie_pretty,
 )
 from fatmagnus.algebra import (
-    IAMap,
     TruncatedTensor,
     apply_letter_map,
     exp_t,
@@ -32,11 +31,12 @@ from fatmagnus.algebra import (
 )
 from fatmagnus.fatgraph import (
     MarkedFatgraph,
+    MovePath,
     symplectic_edge_names,
     symplectic_graph,
     whitehead,
 )
-from fatmagnus.johnson import _move_map, move_ia
+from fatmagnus.johnson import _path_steps, path_ia
 from fatmagnus.magnus import (
     MagnusTable,
     check_relations,
@@ -249,16 +249,16 @@ def test_build_equals_the_prefix_sum_reference(g):
             assert tab.R(h) == ref.R[h]
 
 
-def theta_closes(tab, mg):
+def theta_closes(theta, mg):
     """theta multiplies to one around every vertex but the tail's."""
     G = mg.graph
-    unit = TruncatedTensor.unit(mg.genus(), tab.max_degree)
+    unit = TruncatedTensor.unit(mg.genus(), theta(G.tail).max_degree)
     tail_v = G.vertex_of[G.tail]
     for vi, v in enumerate(G.vertices):
         if vi != tail_v:
             prod = unit
             for x in reversed(v):
-                prod = prod * tab.theta(x)
+                prod = prod * theta(x)
             if prod != unit:
                 return False
     return True
@@ -266,37 +266,21 @@ def theta_closes(tab, mg):
 
 @pytest.mark.parametrize("g,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
 def test_transported_tables_equal_the_built_tables(g, n):
-    # whole-table naturality: each table along a walk, carried from the
-    # one before by the move map read off it, is the table built from
-    # scratch
-    path = random_walk(symplectic_graph(g), 5, random.Random(100 * g))
-    tab = get_table(path.initial, n)
-    for mv in path.moves:
-        tab = MagnusTable.transported(tab, mv, _move_map(mv, tab))
-        built = MagnusTable(mv.result, n)
-        assert tab.mg is mv.result and tab.graph is mv.result.graph
-        assert tab.max_degree == n
-        for h in mv.result.graph.half_edges:
-            assert tab.ell(h) == built.ell(h)
-        assert theta_closes(tab, mv.result)
-        # transported tables are never kept on their graph
-        assert mv.result.magnus_tables == {}
-
-
-def test_transport_rejects_a_foreign_table_and_a_misshapen_map():
-    path = random_walk(symplectic_graph(2), 2, random.Random(3))
-    first, second = path.moves
-    tab = get_table(first.source, 3)
-    phi = move_ia(first, 2)
-    with pytest.raises(ValueError, match="not the table of the move's source"):
-        MagnusTable.transported(tab, second, phi)
-    with pytest.raises(ValueError, match="not the table of the move's source"):
-        MagnusTable.transported(get_table(first.result, 3), first, phi)
-    with pytest.raises(ValueError, match="max_degree 4, not the table's 2 and 3"):
-        MagnusTable.transported(tab, first, move_ia(first, 3))
-    with pytest.raises(ValueError, match="genus 1 and max_degree 3, not the "
-                                         "table's 2 and 3"):
-        MagnusTable.transported(tab, first, IAMap.identity(1, 3))
+    # whole-table naturality in the initial frame: the table L_k that
+    # path_ia reads at step k, carried along the walk by changing only
+    # the moved edges, is the built table of graph k pulled back by the
+    # path map of the first k moves
+    path = random_walk(symplectic_graph(g), 6, random.Random(100 * g))
+    for k, (mv, ell, _) in enumerate(_path_steps(path, n - 1)):
+        assert mv is path.moves[k]
+        pull = path_ia(MovePath(path.initial, path.moves[:k]), n - 1)
+        built = MagnusTable(mv.source, n)
+        assert set(ell) == mv.source.graph.half_edges
+        for h in ell:
+            assert pull.apply(built.ell(h)) == ell[h]
+        assert theta_closes(lambda x: exp_t(ell[x]), mv.source)
+    # only the initial table is built and kept
+    assert all(mv.result.magnus_tables == {} for mv in path.moves)
 
 
 def test_expansion_ignores_the_pi_marking():
@@ -395,6 +379,14 @@ def test_q_and_qhat_satisfy_the_vertex_identity():
     assert vertex_q_relation(mg, tab, tab.Q) is None
     qhat = ReferenceMagnusTable(mg, N).qhat
     assert vertex_q_relation(mg, tab, qhat.__getitem__) is None
+
+
+def test_relations_need_degree_three():
+    mv = whitehead(symplectic_graph(2), 1)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match=f"needs max_degree >= 3, got {n}"):
+            check_relations(mv, n)
+    assert check_relations(mv, 3) is None
 
 
 def test_move_relations_hold_on_random_walks():
