@@ -658,9 +658,9 @@ class IAMap:
     """Substitution x_i -> x_i + corrections[i], corrections of degree >= 2.
 
     Models the action on the completed tensor algebra of an automorphism
-    that is the identity on degree 1. Supports application, composition
-    (self after other is ``other.compose(self)`` in the group sense used
-    here: see ``compose``), and inversion, all exactly to the truncation.
+    that is the identity on degree 1. Supports application and
+    composition (self after other is ``other.compose(self)`` in the group
+    sense used here: see ``compose``), both exactly to the truncation.
     """
 
     __slots__ = ("genus", "max_degree", "corrections", "_images")
@@ -718,15 +718,3 @@ class IAMap:
         new = [other.corrections[i] + other.apply(self.corrections[i])
                for i in range(2 * self.genus)]
         return IAMap(self.genus, new, self.max_degree)
-
-    def inverse(self) -> "IAMap":
-        """The map inv with self.compose(inv) the identity: the fixed point
-        of inv(x_i) = x_i - inv(c_i), run once per degree 2..N from the
-        identity, since each pass fixes one more degree."""
-        N = self.max_degree
-        inv = IAMap.identity(self.genus, N)
-        for _ in range(N - 1):
-            inv = IAMap(self.genus, [-inv.apply(c) for c in self.corrections],
-                        N)
-        return inv
-

@@ -31,8 +31,7 @@ from .algebra import (
     signed_sum,
 )
 from .fatgraph import MovePath, WhiteheadMove
-from .johnson import (_contract, _path_steps, derive, move_ia,
-                      tensor_components)
+from .johnson import _contract, move_ia, path_ia, tensor_components
 
 __all__ = [
     "LIE_DEGREE",
@@ -464,7 +463,7 @@ def j1(move: WhiteheadMove) -> Lambda3:
 
 
 def _bar_degree_two(corrections: Sequence[TruncatedTensor]) -> H2Element:
-    """Symmetrized degree-two part of a move map's corrections."""
+    """Symmetrized degree-two part of a move or path map's corrections."""
     return bar_project(tensor_components(
         [c.graded(LIE_DEGREE) for c in corrections]))
 
@@ -498,13 +497,10 @@ class J2Value:
         return self.s.is_integral() and self.xi.is_integral()
 
 
-def _j2_of(move: WhiteheadMove, corr: Sequence[TruncatedTensor]) -> J2Value:
-    """j2 of a move, given the corrections of move_ia(move, 2)."""
-    return J2Value(_bar_degree_two(corr).scaled(72), j1(move))
-
-
 def j2(move: WhiteheadMove) -> J2Value:
-    return _j2_of(move, move_ia(move, 2).corrections)
+    """72 times the symmetrized degree-two value of a move, with its
+    label wedge."""
+    return J2Value(bar_tau2(move).scaled(72), j1(move))
 
 
 def j2_compose(x: J2Value, y: J2Value) -> J2Value:
@@ -530,21 +526,13 @@ def j2_inverse(v: J2Value) -> J2Value:
 
 
 def j2_path(path: MovePath) -> J2Value:
-    """Fold the twisted law over the moves of a path.
-
-    Each move's value is j2 of the move, read off its correction C in
-    the initial frame (johnson._path_steps, one table per path): C is
-    its own correction c through the map Psi of the earlier moves, whose
-    degree-two part S sums their C_2, so through degree three C = c +
-    D_S(c_2), with D_S the derivation extending S (johnson.derive), and
-    c_3 = C_3 - D_S(C_2).  Raises ValueError on a non-geometric marking.
+    """72 times the symmetrized degree-two value of the whole path, with
+    the sum of its label wedges: the view of johnson.path_ia that
+    tau_path is too.  By the twisted law it equals the fold of
+    j2_compose over the j2 of the moves; the tests check that identity.
+    Raises ValueError on a non-geometric marking.
     """
     g = path.initial.genus()
-    out = j2_identity(g)
-    s = [TruncatedTensor(g, LIE_DEGREE)] * (2 * g)
-    for mv, _, corr in _path_steps(path, 2):
-        c2 = [c.graded(2) for c in corr]
-        out = j2_compose(out, _j2_of(
-            mv, [c - derive(s, x) for c, x in zip(corr, c2)]))
-        s = [a + b for a, b in zip(s, c2)]
-    return out
+    xi = sum((j1(mv) for mv in path.moves), Lambda3.zero(g))
+    return J2Value(_bar_degree_two(path_ia(path, 2).corrections).scaled(72),
+                   xi)

@@ -382,8 +382,10 @@ class MarkedFatgraph:
                 "pi-marking of the reversed tail is not the boundary word")
 
     def _h_rank(self) -> int:
+        # one half per edge: _validate has checked that reversal negates
+        # the marking, so the other half adds nothing to the span
         _, pivots = row_reduce(
-            [self.h[half] for half in sorted(self.graph.half_edges)])
+            [self.h[self.graph.oriented(e)] for e in self.graph.edges])
         return len(pivots)
 
     def _mismatch(self) -> Optional[tuple[int, int, int, Fraction]]:

@@ -7,7 +7,9 @@ graded view, linear maps from homology into Lie elements one degree
 higher.  An independent solver recovers the same pieces by comparing the
 two expansion tables.  A path's map (path_ia) is one sum in the initial
 frame: each move adds its formula read off the initial table, changed
-only on the edges moved so far; no map is applied, inverted or composed.
+only on the edges moved so far; no map is applied or composed.  Every
+path value is a view of that one map: tau_path grades it, and
+cocycle.j2_path projects its degree-two part.
 """
 
 from __future__ import annotations
@@ -235,7 +237,9 @@ def derive(values: Sequence[TruncatedTensor],
 
     values lists the image of each letter; every letter occurrence in t
     is replaced in turn and the results summed.  Turns the degree-1 data
-    of a GradedTau into an operator on higher Lie elements.
+    of a GradedTau into an operator on higher Lie elements.  No path
+    routine calls it; the tests use it to state the mixing term of the
+    twisted law (cocycle.j2_compose).
     """
     g, n = t.genus, t.max_degree
     if len(values) != 2 * g:
@@ -453,17 +457,17 @@ def tau_move_oracle(move: WhiteheadMove, m: int) -> MoveTau:
 
 
 def _path_steps(path: MovePath, m: int) -> Iterator[tuple[
-        WhiteheadMove, Mapping[int, TruncatedTensor], list[TruncatedTensor]]]:
-    """(move, L, C) per move of a path on a geometric marking: L is the
-    table of move.source pulled back to the initial graph by the map Psi
-    of the moves before it, C = Psi(move_ia corrections) the formula
-    read off L.  Psi commutes with star and fixes L off the moved edges;
-    the new edge closes its vertex, L(e_head) = -star(L(d), L(a))."""
+        WhiteheadMove, Mapping[int, TruncatedTensor]]]:
+    """(move, L) per move of a path on a geometric marking: L is the
+    table of move.source through degree m + 1, pulled back to the
+    initial graph by the map Psi of the moves before it.  Psi commutes
+    with star and fixes L off the moved edges; the new edge closes its
+    vertex, L(e_head) = -star(L(d), L(a))."""
     _check_degree(m)
     path.initial.check_geometric()
     ell = get_table(path.initial, m + 1).ell_map
     for step, mv in enumerate(path.moves):
-        yield mv, ell, _move_map(mv, ell).corrections
+        yield mv, ell
         if step + 1 < len(path.moves):  # no table after the last move
             head = -star(ell[mv.d], ell[mv.a])
             rev = mv.source.graph.pair_[mv.e_head]
@@ -478,11 +482,13 @@ def path_ia(path: MovePath, m: int) -> IAMap:
 
         Psi_k(x_i) = Psi_{k-1}(x_i) + C_i^(k),  C^(k) = Psi_{k-1}(c),
 
-    read off the pulled-back table (_path_steps): the corrections are
-    the sum of the C^(k), the identity on the empty path.  Raises
-    ValueError on a non-geometric initial marking."""
+    and C^(k) is the move's formula (_move_map) read off its pulled-back
+    table L (_path_steps): the corrections are the sum of the C^(k), the
+    identity on the empty path.  tau_path and cocycle.j2_path are views
+    of this map.  Raises ValueError on a non-geometric initial marking."""
     g, n = path.initial.genus(), m + 1
-    steps = [corr for _, _, corr in _path_steps(path, m)]
+    steps = [_move_map(mv, ell).corrections
+             for mv, ell in _path_steps(path, m)]
     return IAMap(g, [TruncatedTensor.combination(
         g, [(1, corr[i]) for corr in steps], n) for i in range(2 * g)], n)
 

@@ -624,15 +624,6 @@ def test_ia_compose_associative(abc):
     assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
-@given(st.integers(1, 2).flatmap(ia_maps))
-@settings(deadline=None)
-def test_ia_inverse_two_sided(m):
-    mi = m.inverse()
-    assert m.compose(mi).is_identity()
-    assert mi.compose(m).is_identity()
-    assert mi.inverse() == m
-
-
 def test_ia_top_degree_words_pass_through():
     N = 3
     u, v = letters(1, N)

@@ -561,16 +561,17 @@ def test_composition_reproduces_whole_path_values():
 
 
 def test_path_value_is_the_fold_of_move_values_on_built_tables():
-    # j2_path reads each move off one pulled-back table; each j2(mv) here reads
-    # a table built from scratch on a fresh copy of the path
+    # the twisted law at every step: j2_path projects the whole-path map
+    # of each prefix, read off one pulled-back table; each j2(mv) here
+    # reads a table built from scratch on a fresh copy of the path
     path = wedge_rich_path()
     fold = j2_identity(2)
     twisted = 0
-    for mv in wedge_rich_path().moves:
+    for k, mv in enumerate(wedge_rich_path().moves, 1):
         v = j2(mv)
         twisted += not morita_pair(fold.xi, v.xi).is_zero()
         fold = j2_compose(fold, v)
-    assert j2_path(path) == fold
+        assert j2_path(MovePath(path.initial, path.moves[:k])) == fold
     assert twisted >= 2 and fold.is_integral()
 
 
