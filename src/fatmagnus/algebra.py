@@ -26,10 +26,9 @@ once, when it builds the result.
 apply_letter_map, the one substitution routine, takes images with zero
 constant term, so the images of the first i letters of a degree-k word
 reach the result only through degrees i..N - (k - i), and each prefix
-product stops there.  Words of one degree are visited in sorted order and
-share a stack of prefix products; a word whose letters' images differ
-from the letters only above the truncation goes straight to the output.
-It also works over one common denominator and reduces once.
+product stops there.  A word whose letters' images differ from the
+letters only above the truncation goes straight to the output.  It also
+works over one common denominator and reduces once.
 
 Letters 0..g-1 are the u_i, letters g..2g-1 are the v_i.
 """
@@ -396,20 +395,6 @@ def is_lie(t: TruncatedTensor) -> bool:
     return True
 
 
-def lie_decompose(t: TruncatedTensor) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Write a Lie element as a combination of right-bracketed words.
-
-    Returns pairs (coeff, word) meaning coeff * [w_1,[w_2,[...,w_k]]],
-    one pair per word in the support.  By the Dynkin-Specht-Wever
-    identity that is_lie tests, a degree-n Lie element is 1/n times the
-    sum of its word coefficients times their right-normed bracketings.
-    Raises ValueError if the input is not Lie.
-    """
-    if not is_lie(t):
-        raise ValueError("not a Lie element")
-    return [(coeff / len(word), word) for word, coeff in t.terms()]
-
-
 def _lyndon_factor(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # standard factorization: the lexicographically smallest proper suffix
     best = min(range(1, len(word)), key=lambda i: word[i:])
@@ -610,22 +595,18 @@ def apply_letter_map(t: TruncatedTensor,
     for k, comp in enumerate(t.comps):
         # a degree-k word whose letters all lift by more than N - k is fixed
         fixed = {c for c in range(n) if lift[c] > N - k}
-        stack, prev = [[{0: 1}]], ()  # stack[i]: image of prev[:i]
-        for key in sorted(comp):
+        for key, x in comp.items():
             word = _unpack(key, k, n)
             if fixed.issuperset(word):
-                out[k][key] = out[k].get(key, 0) + comp[key] * den ** N
+                out[k][key] = out[k].get(key, 0) + x * den ** N
                 continue
-            i = next((j for j in range(len(stack) - 1) if word[j] != prev[j]),
-                     len(stack) - 1)
-            del stack[i + 1:]
-            for j in range(i, k):
-                stack.append(_product(stack[j], imgs[word[j]], n,
-                                      j + 1, N - k + j + 1))
-            prev, coeff = word, comp[key] * den ** (N - k)
+            prod = [{0: 1}]  # the image of word[:j]
+            for j, c in enumerate(word):
+                prod = _product(prod, imgs[c], n, j + 1, N - k + j + 1)
+            coeff = x * den ** (N - k)
             for d in range(k, N + 1):
                 acc = out[d]
-                for w, v in stack[k][d].items():
+                for w, v in prod[d].items():
                     acc[w] = acc.get(w, 0) + coeff * v
     return TruncatedTensor._of(
         genus, N, t.den * den ** N,

@@ -140,7 +140,6 @@ class Fatgraph:
                 raise ValueError(
                     f"vertex {vi} {v} has valence {len(v)}, expected {want}")
 
-        self._check_connected()
         self._cycle = self._trace_boundary()
         self._pos = {h: i for i, h in enumerate(self._cycle)}
 
@@ -152,33 +151,23 @@ class Fatgraph:
                 "with positive genus")
         self._genus = twice // 2
 
-    def _check_connected(self) -> None:
-        stack, seen = [self.tail], {self.tail}
-        while stack:
-            h = stack.pop()
-            for nb in (self.next_[h], self.pair_[h]):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != self.half_edges:
-            raise ValueError("graph is not connected")
-
     def succ(self, h: int) -> int:
         """Boundary-cycle successor of the oriented edge with head h."""
         return self.next_[self.pair_[h]]
 
     def _trace_boundary(self) -> list[int]:
+        """The orbit of the tail under succ.  succ = next o pair is a
+        permutation that keeps to one component, so the orbit covers every
+        half-edge only on a connected, once-bordered graph."""
         cycle = [self.tail]
         h = self.succ(self.tail)
         while h != self.tail:
-            if len(cycle) > len(self.half_edges):
-                raise ValueError("boundary successor does not close up")
             cycle.append(h)
             h = self.succ(h)
         if len(cycle) != len(self.half_edges):
             raise ValueError(
                 f"{len(cycle)} of {len(self.half_edges)} oriented edges on "
-                "the boundary: not once-bordered")
+                "the boundary: not connected, or not once-bordered")
         return cycle
 
     # -- queries ----------------------------------------------------------

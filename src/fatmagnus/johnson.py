@@ -1,15 +1,17 @@
 """Graded automorphism data carried by Whitehead moves.
 
 Each move induces an automorphism of the completed free Lie algebra that
-fixes degree one.  A closed Hausdorff-series formula builds it once, from
-the source table alone, as a substitution map (move_ia); tau_move is its
-graded view, linear maps from homology into Lie elements one degree
-higher.  An independent solver recovers the same pieces by comparing the
-two expansion tables.  A path's map (path_ia) is one sum in the initial
-frame: each move adds its formula read off the initial table, changed
-only on the edges moved so far; no map is applied or composed.  Every
-path value is a view of that one map: tau_path grades it, and
-cocycle.j2_path projects its degree-two part.
+fixes degree one.  A closed Hausdorff-series formula reads its
+corrections off the source table alone, from the tails at three of the
+move's four corners (_move_map); move_ia wraps them as a substitution
+map, and tau_move is its graded view, linear maps from homology into Lie
+elements one degree higher.  An independent solver recovers the same
+pieces by comparing the two expansion tables.  A path's map (path_ia) is
+one sum in the initial frame: each move adds its corrections read off
+the initial table, changed only on the edges moved so far, and the sum
+becomes one IAMap; no map is applied or composed.  Every path value is a
+view of that one map: tau_path grades it, and cocycle.j2_path projects
+its degree-two part.
 """
 
 from __future__ import annotations
@@ -217,20 +219,6 @@ class MoveTau:
             raise ValueError("genus mismatch")
 
 
-@dataclass(frozen=True)
-class SectorContribution:
-    """One corner passage's share of a move automorphism, per degree."""
-
-    label: str
-    values: Mapping[int, TruncatedTensor]
-
-    def __post_init__(self) -> None:
-        if self.label not in SECTOR_LABELS:
-            raise ValueError(f"unknown sector {self.label!r}")
-        object.__setattr__(
-            self, "values", dict(sorted(self.values.items())))
-
-
 def derive(values: Sequence[TruncatedTensor],
            t: TruncatedTensor) -> TruncatedTensor:
     """Extend a letter-to-tensor map to a derivation over words.
@@ -254,49 +242,56 @@ def derive(values: Sequence[TruncatedTensor],
 # -- closed formula --------------------------------------------------------
 
 
-def _sector_tails(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor]
+# each corner: the labels of the two series whose tail it is, and the
+# sign of its 1/3
+_CORNERS = {"I": ("b", "c", -1), "II": ("c", "d", 1),
+            "III": ("d", "a", -1), "IV": ("a", "b", 1)}
+
+
+def _sector_tails(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor],
+                  labels: Sequence[str] = SECTOR_LABELS
                   ) -> dict[str, TruncatedTensor]:
-    """The four signed corner tails, read off the ell values of a table
-    of move.source."""
-    la, lb, lc, ld = (ell[x] for x in (move.a, move.b, move.c, move.d))
-    third = Fraction(1, 3)
-    return {
-        "I": hausdorff_tail(lb, lc).scaled(-third),
-        "II": hausdorff_tail(lc, ld).scaled(third),
-        "III": hausdorff_tail(ld, la).scaled(-third),
-        "IV": hausdorff_tail(la, lb).scaled(third),
-    }
+    """The signed corner tails of the given labels, read off the ell
+    values of a table of move.source."""
+    out = {}
+    for lab in labels:
+        x, y, sign = _CORNERS[lab]
+        tail = hausdorff_tail(ell[getattr(move, x)], ell[getattr(move, y)])
+        out[lab] = tail.scaled(Fraction(sign, 3))
+    return out
 
 
-def sector_contributions(move: WhiteheadMove,
-                         m: int) -> tuple[SectorContribution, ...]:
-    """The four corner passages of a move, as signed Hausdorff tails.
+def sector_contributions(move: WhiteheadMove, m: int
+                         ) -> dict[str, dict[int, TruncatedTensor]]:
+    """The four corner passages of a move, as signed Hausdorff tails:
+    {label: {k: degree-(k+1) part}} for k = 1..m, labels in SECTOR_LABELS
+    order.
 
     Their sum vanishes in every degree because the boundary cycle of the
-    tail crosses all four corners while carrying zero homology.
+    tail crosses all four corners while carrying zero homology.  The move
+    maps read only three of them (_move_map), so this is the one place
+    all four are computed.
     """
     _check_degree(m)
     tails = _sector_tails(move, get_table(move.source, m + 1).ell_map)
-    return tuple(
-        SectorContribution(
-            lab, {k: tails[lab].graded(k + 1) for k in range(1, m + 1)})
-        for lab in SECTOR_LABELS)
+    return {lab: {k: t.graded(k + 1) for k in range(1, m + 1)}
+            for lab, t in tails.items()}
 
 
-def _move_map(move: WhiteheadMove,
-              ell: Mapping[int, TruncatedTensor]) -> IAMap:
-    """move_ia read off the ell values of a table of move.source, through
-    their degree."""
+def _move_map(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor]
+              ) -> tuple[TruncatedTensor, ...]:
+    """The corrections of move_ia, one per letter, read off the ell values
+    of a table of move.source through their degree.  Only the corner
+    tails I, II and IV enter."""
     src = move.source
-    g = src.genus()
-    tails = _sector_tails(move, ell)
+    tails = _sector_tails(move, ell, ("I", "II", "IV"))
     av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
     # reconstruction from the corner pieces: a(x)I + b(x)(I+II) - c(x)IV,
     # with the overall orientation pinned against the table-comparison
     # solver (the corner pieces alone leave a global sign free)
     parts = [(av, tails["I"]), (bv, tails["I"] + tails["II"]),
              (cv, -tails["IV"])]
-    return IAMap(g, tensor_values(g, parts), tails["I"].max_degree)
+    return tensor_values(src.genus(), parts)
 
 
 def move_ia(move: WhiteheadMove, m: int) -> IAMap:
@@ -308,7 +303,8 @@ def move_ia(move: WhiteheadMove, m: int) -> IAMap:
     automorphism only on a geometric marking, which is not checked here.
     """
     _check_degree(m)
-    return _move_map(move, get_table(move.source, m + 1).ell_map)
+    corrections = _move_map(move, get_table(move.source, m + 1).ell_map)
+    return IAMap(move.source.genus(), corrections, m + 1)
 
 
 def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
@@ -483,12 +479,11 @@ def path_ia(path: MovePath, m: int) -> IAMap:
         Psi_k(x_i) = Psi_{k-1}(x_i) + C_i^(k),  C^(k) = Psi_{k-1}(c),
 
     and C^(k) is the move's formula (_move_map) read off its pulled-back
-    table L (_path_steps): the corrections are the sum of the C^(k), the
-    identity on the empty path.  tau_path and cocycle.j2_path are views
-    of this map.  Raises ValueError on a non-geometric initial marking."""
+    table L (_path_steps).  The C^(k) are summed and wrapped in one IAMap,
+    the identity on the empty path; no move's map is built on its own.
+    tau_path and cocycle.j2_path are views of this map.  Raises ValueError on a non-geometric initial marking."""
     g, n = path.initial.genus(), m + 1
-    steps = [_move_map(mv, ell).corrections
-             for mv, ell in _path_steps(path, m)]
+    steps = [_move_map(mv, ell) for mv, ell in _path_steps(path, m)]
     return IAMap(g, [TruncatedTensor.combination(
         g, [(1, corr[i]) for corr in steps], n) for i in range(2 * g)], n)
 

@@ -54,7 +54,7 @@ def get_table(mg: MarkedFatgraph,
 
 class MagnusTable:
     """The expansion ell of every half-edge of one marked fatgraph up to
-    a fixed degree, with theta = exp(ell) cached on first read.
+    a fixed degree; theta = exp(ell) is computed on each read.
 
     The table holds its marked graph weakly, since the graph keeps its
     tables (see get_table), and its Fatgraph strongly.
@@ -96,7 +96,6 @@ class MagnusTable:
             ell[pair[h]] = -ell[h]
         self._ell = ell
         self.ell_map = MappingProxyType(ell)  # ell of every half-edge
-        self._theta: dict[int, TruncatedTensor] = {}
 
     @property
     def mg(self) -> Optional[MarkedFatgraph]:
@@ -115,9 +114,7 @@ class MagnusTable:
         return self._value(half)
 
     def theta(self, half: int) -> TruncatedTensor:
-        if half not in self._theta:
-            self._theta[half] = exp_t(self._value(half))
-        return self._theta[half]
+        return exp_t(self._value(half))
 
     def P(self, half: int) -> TruncatedTensor:
         return self._value(half).graded(2).scaled(6)
@@ -176,16 +173,6 @@ class MagnusTable:
 # -- module-level API ------------------------------------------------------
 
 
-def ell(mg: MarkedFatgraph, half: int,
-        max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
-    return get_table(mg, max_degree).ell(half)
-
-
-def theta(mg: MarkedFatgraph, half: int,
-          max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
-    return get_table(mg, max_degree).theta(half)
-
-
 def ell_word(mg: MarkedFatgraph, halves: Sequence[int],
              max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
     """Expansion of a word of oriented edges: the star product of values."""
@@ -196,21 +183,6 @@ def ell_word(mg: MarkedFatgraph, halves: Sequence[int],
     for h in halves[1:]:
         total = star(total, table.ell(h))
     return total
-
-
-def P(mg: MarkedFatgraph, half: int,
-      max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
-    return get_table(mg, max_degree).P(half)
-
-
-def Q(mg: MarkedFatgraph, half: int,
-      max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
-    return get_table(mg, max_degree).Q(half)
-
-
-def R(mg: MarkedFatgraph, half: int,
-      max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
-    return get_table(mg, max_degree).R(half)
 
 
 def check_relations(move: WhiteheadMove,

@@ -9,6 +9,7 @@ from fatmagnus.algebra import IAMap, TruncatedTensor
 from fatmagnus.fatgraph import (
     Fatgraph,
     MarkedFatgraph,
+    MovePath,
     apply_path,
     solve_vertex_word,
     symplectic_graph,
@@ -78,13 +79,18 @@ def figure_eight():
 
 def random_walk(mg, steps, rng):
     """A random Whitehead-move path of the given length, as a MovePath."""
-    ids = []
+    moves = []
     cur = mg
     for _ in range(steps):
-        eid = rng.choice(cur.graph.movable_edges())
-        ids.append(eid)
-        cur = whitehead(cur, eid).result
-    return apply_path(mg, ids)
+        mv = whitehead(cur, rng.choice(cur.graph.movable_edges()))
+        moves.append(mv)
+        cur = mv.result
+    return MovePath(mg, tuple(moves))
+
+
+def walk_moves(g, steps, seed):
+    """The individual moves of a fixed random walk from symplectic_graph(g)."""
+    return random_walk(symplectic_graph(g), steps, random.Random(seed)).moves
 
 
 def wedge_rich_path():

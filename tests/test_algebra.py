@@ -20,7 +20,6 @@ from fatmagnus.algebra import (
     is_symplectic_matrix,
     letter_index,
     letter_name,
-    lie_decompose,
     lie_pretty,
     log_t,
     matrix_letter_images,
@@ -331,14 +330,6 @@ def test_coefficient_rejects_out_of_range_letters(word, bad):
     with pytest.raises(ValueError, match=rf"letter {bad} out of range for genus 1"):
         t.coefficient(word)
     assert t.coefficient((1, 0)) == 1
-
-
-@given(lie_tensors())
-def test_lie_decompose_reconstructs(t):
-    rec = TruncatedTensor(t.genus, t.max_degree)
-    for c, w in lie_decompose(t):
-        rec = rec + right_bracketing(t.genus, w, t.max_degree).scaled(c)
-    assert rec == t
 
 
 def test_lie_pretty_examples():

@@ -20,6 +20,7 @@ from helpers import (
     reference_bar_components,
     reference_morita_pair,
     reference_varpi,
+    walk_moves,
     wedge_rich_path,
 )
 from fatmagnus.algebra import TruncatedTensor
@@ -49,11 +50,6 @@ from fatmagnus.magnus import get_table
 
 def letter(g, i, n=LIE_DEGREE):
     return TruncatedTensor.letter(g, i, n)
-
-
-def walk_moves(g, steps, seed):
-    mg = symplectic_graph(g)
-    return random_walk(mg, steps, random.Random(seed)).moves
 
 
 def label_data(mv, n=LIE_DEGREE):

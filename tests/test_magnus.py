@@ -41,13 +41,8 @@ from fatmagnus.magnus import (
     MagnusTable,
     check_relations,
     dump_table,
-    ell,
     ell_word,
     get_table,
-    theta,
-    P,
-    Q,
-    R,
 )
 
 N = 4
@@ -342,17 +337,7 @@ def test_tail_P_is_minus_six_omega():
     for g in (1, 2, 3):
         mg = symplectic_graph(g)
         want = symplectic_form(g, N).scaled(-6)
-        assert P(mg, mg.graph.tail, N) == want
-
-
-def test_module_level_wrappers_agree_with_the_table():
-    mg = symplectic_graph(1)
-    tab = get_table(mg, N)
-    x = mg.graph.tail
-    assert ell(mg, x, N) == tab.ell(x)
-    assert theta(mg, x, N) == tab.theta(x)
-    assert Q(mg, x, N) == tab.Q(x)
-    assert R(mg, x, N) == tab.R(x)
+        assert get_table(mg, N).P(mg.graph.tail) == want
 
 
 def vertex_q_relation(mg, tab, q_of):
@@ -458,7 +443,7 @@ def test_table_requires_trivalent_graph():
     with pytest.raises(ValueError, match="trivalent"):
         MagnusTable(figure_eight(), N)
     with pytest.raises(ValueError, match="trivalent"):
-        ell(figure_eight(), 0, N)
+        get_table(figure_eight(), N)
 
 
 def test_trivalence_error_names_the_vertex_and_its_valence():
