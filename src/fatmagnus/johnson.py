@@ -481,7 +481,8 @@ def path_ia(path: MovePath, m: int) -> IAMap:
     and C^(k) is the move's formula (_move_map) read off its pulled-back
     table L (_path_steps).  The C^(k) are summed and wrapped in one IAMap,
     the identity on the empty path; no move's map is built on its own.
-    tau_path and cocycle.j2_path are views of this map.  Raises ValueError on a non-geometric initial marking."""
+    tau_path and cocycle.j2_path are views of this map.  Raises
+    ValueError on a non-geometric initial marking."""
     g, n = path.initial.genus(), m + 1
     steps = [_move_map(mv, ell) for mv, ell in _path_steps(path, m)]
     return IAMap(g, [TruncatedTensor.combination(

@@ -10,7 +10,6 @@ from fatmagnus.fatgraph import (
     Fatgraph,
     MarkedFatgraph,
     MovePath,
-    apply_path,
     solve_vertex_word,
     symplectic_graph,
     w_abelianize,
@@ -100,9 +99,8 @@ def wedge_rich_path():
     with seed 0, so folding j2 along it exercises the twisted term.  Each
     call rebuilds the graphs, so no two calls share a cached table.
     """
-    ids = random_walk(symplectic_graph(2), 40, random.Random(0)).edge_ids
-    start = apply_path(symplectic_graph(2), ids[:30]).final
-    return apply_path(start, ids[30:])
+    moves = random_walk(symplectic_graph(2), 40, random.Random(0)).moves[30:]
+    return MovePath(moves[0].source, moves)
 
 
 def random_symplectic_matrix(genus, rng, transvections=3):
