@@ -21,7 +21,8 @@ constant term.  If every term of y has degree >= m, the accumulator after
 coefficient j is still to be multiplied by y j times, so only its degrees
 <= N - j*m can reach the result, and each step's product stops there.  The
 loop works on integer numerators over one common denominator and reduces
-once, when it builds the result.
+once, when it builds the result.  A Magnus table is built with no log, and
+a move path takes one star per move; hausdorff_tail serves the BCH oracles.
 
 apply_letter_map, the one substitution routine, takes images with zero
 constant term, so the images of the first i letters of a degree-k word
@@ -437,15 +438,13 @@ def lie_pretty(t: TruncatedTensor) -> str:
 # -- exponential / logarithm / Hausdorff ----------------------------------
 
 
-def _horner(x: TruncatedTensor, coeffs: Sequence[Fraction],
-            lo: int) -> TruncatedTensor:
-    """sum_j coeffs[j] y^j in degrees lo..N, where y is x less its constant.
+def _horner(x: TruncatedTensor, coeffs: Sequence[Fraction]) -> TruncatedTensor:
+    """sum_j coeffs[j] y^j, where y is x less its constant.
 
     coeffs holds the coefficients of y^0..y^N.  Horner's rule from the top
-    coefficient down, each product truncated as the module docstring says
-    and the last one starting at degree lo.  The coefficients are scaled
-    to integers over one common denominator, so each step is one integer
-    product plus a constant.
+    coefficient down, each product truncated as the module docstring
+    says.  The coefficients are scaled to integers over one common
+    denominator, so each step is one integer product plus a constant.
     """
     N = x.max_degree
     y = [{}] + x.comps[1:]
@@ -456,18 +455,12 @@ def _horner(x: TruncatedTensor, coeffs: Sequence[Fraction],
          for j, c in enumerate(coeffs[:top + 1])]
     acc = [{0: b[top]} if b[top] else {}]
     for j in range(top - 1, -1, -1):
-        acc = _product(y, acc, x.nletters, lo if j == 0 else 0, N - j * m)
+        acc = _product(y, acc, x.nletters, 0, N - j * m)
         if b[j]:
             acc[0][0] = b[j]
     comps: list[dict[int, int]] = [{} for _ in range(N + 1)]
-    comps[lo:len(acc)] = acc[lo:]
+    comps[:len(acc)] = acc
     return TruncatedTensor._of(x.genus, N, den * x.den ** top, comps)
-
-
-def _log_coeffs(n: int) -> list[Fraction]:
-    """Taylor coefficients of log(1 + y) through y^n."""
-    return [Fraction(0)] + [Fraction((-1) ** (j + 1), j)
-                            for j in range(1, n + 1)]
 
 
 def exp_t(x: TruncatedTensor) -> TruncatedTensor:
@@ -475,14 +468,15 @@ def exp_t(x: TruncatedTensor) -> TruncatedTensor:
     if x.comps[0]:
         raise ValueError("exp needs zero constant term")
     return _horner(x, [Fraction(1, factorial(j))
-                       for j in range(x.max_degree + 1)], 0)
+                       for j in range(x.max_degree + 1)])
 
 
 def log_t(x: TruncatedTensor) -> TruncatedTensor:
     """log of an element with constant term 1."""
     if Fraction(x.comps[0].get(0, 0), x.den) != 1:
         raise ValueError("log needs constant term 1")
-    return _horner(x, _log_coeffs(x.max_degree), 0)
+    return _horner(x, [Fraction(0)] + [Fraction((-1) ** (j + 1), j)
+                                       for j in range(1, x.max_degree + 1)])
 
 
 def antipode(x: TruncatedTensor) -> TruncatedTensor:

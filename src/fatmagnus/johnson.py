@@ -2,16 +2,18 @@
 
 Each move induces an automorphism of the completed free Lie algebra that
 fixes degree one.  A closed Hausdorff-series formula reads its
-corrections off the source table alone, from the tails at three of the
-move's four corners (_move_map); move_ia wraps them as a substitution
+corrections off the source table alone; the vertex relations make the
+tails at the move's corners linear in the ell values and in one star,
+the new edge's value (_move_map).  move_ia wraps them as a substitution
 map, and tau_move is its graded view, linear maps from homology into Lie
-elements one degree higher.  An independent solver recovers the same
-pieces by comparing the two expansion tables.  A path's map (path_ia) is
-one sum in the initial frame: each move adds its corrections read off
-the initial table, changed only on the edges moved so far, and the sum
-becomes one IAMap; no map is applied or composed.  Every path value is a
-view of that one map: tau_path grades it, and cocycle.j2_path projects
-its degree-two part.
+elements one degree higher.  Two oracles recover the same pieces: the
+BCH tails of all four corners (sector_contributions) and a solver that
+compares the two expansion tables.  A path's map (path_ia) is one sum in
+the initial frame: each move adds its corrections read off the initial
+table, changed only on the edges moved so far, and the sum becomes one
+IAMap; no map is applied or composed.  Every path value is a view of
+that one map: tau_path grades it, and cocycle.j2_path projects its
+degree-two part.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterator, Mapping, Sequence
 from .algebra import (
     IAMap,
     TruncatedTensor,
+    _check_letters,
     hausdorff_tail,
     is_lie,
     letter_name,
@@ -53,6 +56,7 @@ def dual_vector(genus: int, letter: int) -> tuple[int, ...]:
     values and letter-slot components that tensor_values,
     tensor_components and bracket_map read off it.
     """
+    _check_letters(genus, (letter,))
     vec = [0] * (2 * genus)
     if letter < genus:
         vec[genus + letter] = -1
@@ -248,19 +252,6 @@ _CORNERS = {"I": ("b", "c", -1), "II": ("c", "d", 1),
             "III": ("d", "a", -1), "IV": ("a", "b", 1)}
 
 
-def _sector_tails(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor],
-                  labels: Sequence[str] = SECTOR_LABELS
-                  ) -> dict[str, TruncatedTensor]:
-    """The signed corner tails of the given labels, read off the ell
-    values of a table of move.source."""
-    out = {}
-    for lab in labels:
-        x, y, sign = _CORNERS[lab]
-        tail = hausdorff_tail(ell[getattr(move, x)], ell[getattr(move, y)])
-        out[lab] = tail.scaled(Fraction(sign, 3))
-    return out
-
-
 def sector_contributions(move: WhiteheadMove, m: int
                          ) -> dict[str, dict[int, TruncatedTensor]]:
     """The four corner passages of a move, as signed Hausdorff tails:
@@ -268,30 +259,40 @@ def sector_contributions(move: WhiteheadMove, m: int
     order.
 
     Their sum vanishes in every degree because the boundary cycle of the
-    tail crosses all four corners while carrying zero homology.  The move
-    maps read only three of them (_move_map), so this is the one place
-    all four are computed.
+    tail crosses all four corners while carrying zero homology.  This is
+    the one place a corner tail is taken by BCH, and it stays as the
+    oracle of the move maps, which read the same corners off the vertex
+    relations (_move_map).
     """
     _check_degree(m)
-    tails = _sector_tails(move, get_table(move.source, m + 1).ell_map)
-    return {lab: {k: t.graded(k + 1) for k in range(1, m + 1)}
-            for lab, t in tails.items()}
+    ell = get_table(move.source, m + 1).ell_map
+    out = {}
+    for lab in SECTOR_LABELS:
+        x, y, sign = _CORNERS[lab]
+        tail = hausdorff_tail(ell[getattr(move, x)], ell[getattr(move, y)])
+        tail = tail.scaled(Fraction(sign, 3))
+        out[lab] = {k: tail.graded(k + 1) for k in range(1, m + 1)}
+    return out
 
 
-def _move_map(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor]
-              ) -> tuple[TruncatedTensor, ...]:
+def _move_map(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor],
+              head: TruncatedTensor) -> tuple[TruncatedTensor, ...]:
     """The corrections of move_ia, one per letter, read off the ell values
-    of a table of move.source through their degree.  Only the corner
-    tails I, II and IV enter."""
+    of a table of move.source and head = -star(ell(d), ell(a)), the value
+    of e_head in the result.  The vertex relations theta(a)theta(b) =
+    theta(e)^-1 = (theta(c)theta(d))^-1 make the corner tails linear:
+    3 I = ell(b) + ell(c) - head, 3 II = ell(e) - ell(c) - ell(d) and
+    3 IV = -(ell(e) + ell(a) + ell(b))."""
     src = move.source
-    tails = _sector_tails(move, ell, ("I", "II", "IV"))
+    la, lb, lc, ld, le = (ell[x] for x in
+                          (move.a, move.b, move.c, move.d, move.e_head))
     av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
     # reconstruction from the corner pieces: a(x)I + b(x)(I+II) - c(x)IV,
     # with the overall orientation pinned against the table-comparison
     # solver (the corner pieces alone leave a global sign free)
-    parts = [(av, tails["I"]), (bv, tails["I"] + tails["II"]),
-             (cv, -tails["IV"])]
-    return tensor_values(src.genus(), parts)
+    parts = [(av, lb + lc - head), (bv, lb - ld + le - head),
+             (cv, la + lb + le)]
+    return tensor_values(src.genus(), parts, Fraction(1, 3))
 
 
 def move_ia(move: WhiteheadMove, m: int) -> IAMap:
@@ -299,12 +300,14 @@ def move_ia(move: WhiteheadMove, m: int) -> IAMap:
 
     Built from the source table alone: three times the correction is the
     homology tensor with the labels a, b, c against Hausdorff tails of
-    the surrounding series, all degrees at once.  It is the move
-    automorphism only on a geometric marking, which is not checked here.
+    the surrounding series, all degrees at once, which the vertex
+    relations reduce to one star.  It is the move automorphism only on a
+    geometric marking, which is not checked here.
     """
     _check_degree(m)
-    corrections = _move_map(move, get_table(move.source, m + 1).ell_map)
-    return IAMap(move.source.genus(), corrections, m + 1)
+    ell = get_table(move.source, m + 1).ell_map
+    head = -star(ell[move.d], ell[move.a])
+    return IAMap(move.source.genus(), _move_map(move, ell, head), m + 1)
 
 
 def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
@@ -453,21 +456,21 @@ def tau_move_oracle(move: WhiteheadMove, m: int) -> MoveTau:
 
 
 def _path_steps(path: MovePath, m: int) -> Iterator[tuple[
-        WhiteheadMove, Mapping[int, TruncatedTensor]]]:
-    """(move, L) per move of a path on a geometric marking: L is the
+        WhiteheadMove, Mapping[int, TruncatedTensor], TruncatedTensor]]:
+    """(move, L, head) per move of a path on a geometric marking: L is the
     table of move.source through degree m + 1, pulled back to the
     initial graph by the map Psi of the moves before it.  Psi commutes
     with star and fixes L off the moved edges; the new edge closes its
-    vertex, L(e_head) = -star(L(d), L(a))."""
+    vertex, so the next table has L(e_head) = head = -star(L(d), L(a)),
+    the one star of the move."""
     _check_degree(m)
     path.initial.check_geometric()
     ell = get_table(path.initial, m + 1).ell_map
-    for step, mv in enumerate(path.moves):
-        yield mv, ell
-        if step + 1 < len(path.moves):  # no table after the last move
-            head = -star(ell[mv.d], ell[mv.a])
-            rev = mv.source.graph.pair_[mv.e_head]
-            ell = {**ell, mv.e_head: head, rev: -head}
+    for mv in path.moves:
+        head = -star(ell[mv.d], ell[mv.a])
+        yield mv, ell, head
+        rev = mv.source.graph.pair_[mv.e_head]
+        ell = {**ell, mv.e_head: head, rev: -head}
 
 
 def path_ia(path: MovePath, m: int) -> IAMap:
@@ -484,7 +487,7 @@ def path_ia(path: MovePath, m: int) -> IAMap:
     tau_path and cocycle.j2_path are views of this map.  Raises
     ValueError on a non-geometric initial marking."""
     g, n = path.initial.genus(), m + 1
-    steps = [_move_map(mv, ell) for mv, ell in _path_steps(path, m)]
+    steps = [_move_map(*step) for step in _path_steps(path, m)]
     return IAMap(g, [TruncatedTensor.combination(
         g, [(1, corr[i]) for corr in steps], n) for i in range(2 * g)], n)
 

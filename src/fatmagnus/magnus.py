@@ -1,9 +1,12 @@
 """Magnus expansion tables over marked trivalent fatgraphs.
 
 The series for each oriented edge is built degree by degree along the
-boundary cycle: each new degree is a scaled sum of Hausdorff-series tails of
-consecutive boundary edges over the tail-avoiding arc, so one sweep of the
-cycle per degree covers every edge at once.
+boundary cycle.  theta multiplies to one around every vertex below the new
+degree n, and the cyclic rotations of that product are conjugates, so the
+three corners of a vertex share one increment: minus the degree-n part of
+the product.  Degree n of an edge is -1/3 times the sum of the increments
+over its tail-avoiding arc, so one sweep of the cycle per degree covers
+every edge at once, and no log is taken.
 
 Each edge has one arc half-edge, whose tail-avoiding arc runs forward
 along the cycle; the other half is its reverse, with ell(reverse) =
@@ -33,8 +36,6 @@ from typing import Optional, Sequence
 from .algebra import (
     DEFAULT_MAX_DEGREE,
     TruncatedTensor,
-    _horner,
-    _log_coeffs,
     antipode,
     exp_t,
     lie_pretty,
@@ -86,11 +87,12 @@ class MagnusTable:
             for h in arcs:
                 exps[h] = exp_t(ell[h].truncated(n))
                 exps[pair[h]] = antipode(exps[h])
-            # the degree-n part of log(exp ell(x) * exp ell(reverse y))
-            # per step x -> y of the cycle
-            coeffs = _log_coeffs(n)
-            inc = [_horner(exps[x] * exps[pair[y]], coeffs, n)
-                   for x, y in zip(cycle, cycle[1:])]
+            # theta closes around each vertex below degree n, so minus the
+            # degree-n part of its product is the increment at each of its
+            # corners; step x -> y of the cycle turns at y's vertex
+            close = {i: -(exps[v[2]] * exps[v[1]] * exps[v[0]]).graded(n)
+                     for i, v in enumerate(G.vertices) if i != tail_v}
+            inc = [close[G.vertex_of[y]] for y in cycle[1:]]
             ell = self._arc_sums(cycle, arcs, inc, n, ell)
         for h in arcs:
             ell[pair[h]] = -ell[h]

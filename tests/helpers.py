@@ -255,12 +255,14 @@ def reference_apply_letter_map(t: TruncatedTensor,
 
 class ReferenceMagnusTable:
     """The prefix-sum table build, kept as the reference for MagnusTable:
-    exp_t on every half-edge and TruncatedTensor prefix sums per degree.
+    exp_t on every half-edge, one BCH log per boundary corner where the
+    table reads a vertex product, and TruncatedTensor prefix sums per
+    degree.
     It also keeps the recursive bracket formulas for the integral tables
     P, Q, R and qhat, which MagnusTable reads off ell's graded parts."""
 
     def __init__(self, mg, max_degree):
-        from fatmagnus.algebra import _horner, _log_coeffs, exp_t
+        from fatmagnus.algebra import exp_t, log_t
 
         self.mg = mg
         self.max_degree = max_degree
@@ -283,8 +285,8 @@ class ReferenceMagnusTable:
         for n in range(2, max_degree + 1):
             exps = [exp_t(ell[h].truncated(n)) for h in cycle]
             # the degree-n part of log(exps[j - 1] * exps[rev]) per step
-            inc = [_horner(exps[j - 1] * exps[self._pos[G.pair_[cycle[j]]]],
-                           _log_coeffs(n), n)
+            inc = [log_t(exps[j - 1]
+                         * exps[self._pos[G.pair_[cycle[j]]]]).graded(n)
                    for j in range(1, len(cycle))]
             for h, part in self._arc_sums(inc).items():
                 ell[h] = ell[h] + part.scaled(Fraction(-1, 3)).truncated(
@@ -542,19 +544,18 @@ def reference_bracket_map(values):
 
 def reference_tau_move(move, m):
     """The closed formula sliced degree by degree into a GradedTau."""
-    from fatmagnus.johnson import GradedTau, MoveTau, _sector_tails
-    from fatmagnus.magnus import get_table
+    from fatmagnus.johnson import GradedTau, MoveTau, sector_contributions
 
     src = move.source
     g = src.genus()
-    tails = _sector_tails(move, get_table(src, m + 1).ell_map)
+    secs = sector_contributions(move, m)
     av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
     values = {}
     for k in range(1, m + 1):
         parts = [
-            (av, tails["I"].graded(k + 1)),
-            (bv, (tails["I"] + tails["II"]).graded(k + 1)),
-            (cv, tails["IV"].graded(k + 1).scaled(-1)),
+            (av, secs["I"][k]),
+            (bv, secs["I"][k] + secs["II"][k]),
+            (cv, secs["IV"][k].scaled(-1)),
         ]
         values[k] = reference_tensor_values(g, parts)
     return MoveTau(move, GradedTau(g, values))

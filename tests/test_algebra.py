@@ -9,8 +9,6 @@ from fatmagnus.algebra import (
     DEFAULT_MAX_DEGREE,
     IAMap,
     TruncatedTensor,
-    _horner,
-    _log_coeffs,
     antipode,
     apply_letter_map,
     dot,
@@ -197,20 +195,6 @@ def test_exp_log_star_equal_the_full_truncation_reference(xy):
     assert log_t(p) == reference_log_t(p)
     assert star(x, y) == reference_log_t(reference_exp_t(x)
                                          * reference_exp_t(y))
-
-
-@settings(deadline=None, max_examples=40)
-@given(kernel_inputs())
-def test_degree_limited_log_is_the_graded_part(xy):
-    x, y = xy
-    p = exp_t(x) * exp_t(y)
-    full = log_t(p)
-    N = p.max_degree
-    # degrees n..N of log(p); n = N is what MagnusTable asks for
-    for n in range(N + 1):
-        assert _horner(p, _log_coeffs(N), n) == sum(
-            (full.graded(d) for d in range(n, N + 1)),
-            TruncatedTensor(p.genus, N))
 
 
 @pytest.mark.parametrize("const", [Fraction(2), Fraction(1, 2), Fraction(-1),

@@ -34,7 +34,9 @@ from fatmagnus.algebra import (
     TruncatedTensor,
     apply_letter_map,
     dot,
+    hausdorff_tail,
     matrix_letter_images,
+    star,
     symplectic_form,
 )
 from fatmagnus.cocycle import j2_path
@@ -52,7 +54,7 @@ from fatmagnus.johnson import (
     MoveTau,
     SECTOR_LABELS,
     _basis_halves,
-    _sector_tails,
+    _path_steps,
     bracket_map,
     derive,
     dual_vector,
@@ -86,6 +88,11 @@ def test_dual_vectors_extract_coordinates():
             vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                    for _ in range(2 * g)]
             assert dot(dual_vector(g, j), vec) == vec[j]
+    # a letter out of range is named with the genus, not wrapped round
+    for letter in (-1, 2):
+        with pytest.raises(ValueError,
+                           match=f"letter {letter} out of range for genus 1"):
+            dual_vector(1, letter)
 
 
 def test_form_dual_tensor_brackets_to_zero():
@@ -233,7 +240,9 @@ def test_duality_is_one_signed_permutation_on_move_data():
     for g, m, moves in reference_walks():
         for mv in moves:
             src = mv.source
-            tails = _sector_tails(mv, get_table(src, m + 1).ell_map)
+            tails = {lab: TruncatedTensor.combination(
+                         g, [(1, t) for t in secs.values()], m + 1)
+                     for lab, secs in sector_contributions(mv, m).items()}
             parts = [(src.h[mv.a], tails["I"]), (src.h[mv.b], tails["II"]),
                      (src.h[mv.c], tails["IV"])]
             fractional += any(Fraction(x).denominator > 1
@@ -391,6 +400,24 @@ def test_sector_values_sum_to_zero():
             for values in secs.values():
                 total = total + values[k]
             assert total.is_zero()
+
+
+@pytest.mark.parametrize("g,steps,m", [(1, 6, 4), (2, 5, 4), (3, 4, 3),
+                                       (4, 3, 2)])
+def test_vertex_relations_linearize_the_corner_tails(g, steps, m):
+    # the identities _move_map rests on, on the built table of each
+    # move's source and on each table _path_steps pulls back
+    path = random_walk(symplectic_graph(g), steps, random.Random(50 + g))
+    tables = [(mv, get_table(mv.source, m + 1).ell_map, None)
+              for mv in path.moves]
+    for mv, ell, head in tables + list(_path_steps(path, m)):
+        la, lb, lc, ld, le = (ell[x] for x in
+                              (mv.a, mv.b, mv.c, mv.d, mv.e_head))
+        closing = -star(ld, la)
+        assert star(lb, lc) == closing
+        assert head is None or head == closing
+        assert hausdorff_tail(lc, ld) == le - lc - ld
+        assert hausdorff_tail(la, lb) == -le - la - lb
 
 
 def test_single_sector_edges_reproduce_the_pairing_triples():

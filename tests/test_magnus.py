@@ -266,7 +266,7 @@ def test_transported_tables_equal_the_built_tables(g, n):
     # the moved edges, is the built table of graph k pulled back by the
     # path map of the first k moves
     path = random_walk(symplectic_graph(g), 6, random.Random(100 * g))
-    for k, (mv, ell) in enumerate(_path_steps(path, n - 1)):
+    for k, (mv, ell, _) in enumerate(_path_steps(path, n - 1)):
         assert mv is path.moves[k]
         pull = path_ia(MovePath(path.initial, path.moves[:k]), n - 1)
         built = MagnusTable(mv.source, n)
