@@ -396,6 +396,14 @@ def is_lie(t: TruncatedTensor) -> bool:
     return True
 
 
+def _check_lie(t: TruncatedTensor, degree: int, where: str) -> None:
+    """Raise ValueError unless t is a Lie element, pure of this degree."""
+    if any(comp for d, comp in enumerate(t.comps) if d != degree):
+        raise ValueError(f"{where} is not pure of degree {degree}")
+    if not is_lie(t):
+        raise ValueError(f"{where} is not a Lie element")
+
+
 def _lyndon_factor(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # standard factorization: the lexicographically smallest proper suffix
     best = min(range(1, len(word)), key=lambda i: word[i:])
@@ -636,6 +644,7 @@ class IAMap:
     that is the identity on degree 1. Supports application and
     composition (self after other is ``other.compose(self)`` in the group
     sense used here: see ``compose``), both exactly to the truncation.
+    corrections is a tuple, since apply caches the images built from it.
     """
 
     __slots__ = ("genus", "max_degree", "corrections", "_images")
@@ -655,7 +664,7 @@ class IAMap:
                 raise ValueError(f"{where} has a degree-{md} term, below 2")
         self.genus = genus
         self.max_degree = max_degree
-        self.corrections = list(corrections)
+        self.corrections = tuple(corrections)
         self._images: list[TruncatedTensor] | None = None
 
     @classmethod

@@ -24,8 +24,8 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
     TruncatedTensor,
+    _check_lie,
     _right_normed,
-    is_lie,
     letter_name,
     lie_pretty,
     signed_sum,
@@ -84,7 +84,8 @@ class Lambda3:
         store: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k), c in (coeffs or {}).items():
             if not all(isinstance(x, int) and 0 <= x < n for x in (i, j, k)):
-                raise ValueError("letter index out of range")
+                raise ValueError(f"letter index out of range: {(i, j, k)} "
+                                 f"for genus {genus}")
             key, sign = _sort_triple(i, j, k)
             store[key] = store.get(key, 0) + Fraction(c) * sign
         self.coeffs = {key: c for key, c in store.items() if c}
@@ -98,20 +99,14 @@ class Lambda3:
               u: Sequence[Fraction | int],
               v: Sequence[Fraction | int],
               w: Sequence[Fraction | int]) -> "Lambda3":
-        """Wedge product of three homology vectors."""
-        n = 2 * genus
-        if not len(u) == len(v) == len(w) == n:
+        """Wedge product of three homology vectors: the constructor sorts
+        each triple of sum u_i v_j w_k with its sign, summing the minors."""
+        if not len(u) == len(v) == len(w) == 2 * genus:
             raise ValueError("vectors must have one entry per letter")
-        co: dict[tuple[int, int, int], Fraction] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    det = (u[i] * (v[j] * w[k] - v[k] * w[j])
-                           - u[j] * (v[i] * w[k] - v[k] * w[i])
-                           + u[k] * (v[i] * w[j] - v[j] * w[i]))
-                    if det:
-                        co[(i, j, k)] = Fraction(det)
-        return cls(genus, co)
+        return cls(genus, {(i, j, k): a * b * c
+                           for i, a in enumerate(u) if a
+                           for j, b in enumerate(v) if b
+                           for k, c in enumerate(w) if c})
 
     def _check(self, other: "Lambda3") -> None:
         if not isinstance(other, Lambda3):
@@ -180,15 +175,11 @@ def _check_components(comps: Sequence[TruncatedTensor],
         raise ValueError("need one component per letter")
     g = comps[0].genus
     for j, t in enumerate(comps):
-        slot = letter_name(g, j)
+        where = f"component {letter_name(g, j)}"
         if t.genus != g:
-            raise ValueError(f"genus mismatch: component {slot} has genus "
-                             f"{t.genus}, not {g}")
-        if any(len(w) != degree for w, _ in t.terms()):
-            raise ValueError(
-                f"component {slot} is not pure of degree {degree}")
-        if not is_lie(t):
-            raise ValueError(f"component {slot} is not a Lie element")
+            raise ValueError(f"genus mismatch: {where} has genus {t.genus}, "
+                             f"not {g}")
+        _check_lie(t, degree, where)
     return g
 
 
@@ -218,10 +209,7 @@ def _pairing_words(s: TruncatedTensor, t: TruncatedTensor) -> list[dict]:
     if s.genus != t.genus:
         raise ValueError("genus mismatch")
     for which, x in (("first", s), ("second", t)):
-        if any(len(w) != 2 for w, _ in x.terms()):
-            raise ValueError(f"{which} argument is not a pure degree-two element")
-        if not is_lie(x):
-            raise ValueError(f"{which} argument is not a Lie element")
+        _check_lie(x, 2, f"{which} argument")
     return [dict(s.terms()), dict(t.terms())]
 
 

@@ -130,7 +130,7 @@ class Fatgraph:
                 self.vertex_of[h] = vi
 
         if tail not in seen:
-            raise ValueError("tail is not a half-edge of the graph")
+            raise ValueError(f"tail {tail!r} is not a half-edge of the graph")
         for vi, v in enumerate(self.vertices):
             want = 1 if vi == self.vertex_of[tail] else 3
             if len(v) == 1 and vi != self.vertex_of[tail]:
@@ -266,11 +266,11 @@ def _hvec_entry(x) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
-def _as_hvec(v: Sequence, genus: int) -> HVec:
+def _as_hvec(v: Sequence, genus: int, half: int) -> HVec:
     vec = tuple(_hvec_entry(x) for x in v)
     if len(vec) != 2 * genus:
-        raise ValueError(f"marking vector has length {len(vec)}, "
-                         f"expected {2 * genus}")
+        raise ValueError(f"marking vector at half-edge {half} has length "
+                         f"{len(vec)}, expected {2 * genus}")
     return vec
 
 
@@ -301,7 +301,7 @@ class MarkedFatgraph:
         self.graph = graph
         g = graph.genus()
         self.h: dict[int, HVec] = {
-            half: _as_hvec(vec, g) for half, vec in h.items()}
+            half: _as_hvec(vec, g, half) for half, vec in h.items()}
         self.pi: Optional[dict[int, Word]] = None
         if pi is not None:
             self.pi = {half: w_reduce(word) for half, word in pi.items()}
@@ -321,8 +321,7 @@ class MarkedFatgraph:
     def _validate(self) -> None:
         G = self.graph
         g = G.genus()
-        if set(self.h) != G.half_edges:
-            raise ValueError("H-marking must cover every oriented edge")
+        self._check_cover("H-marking", self.h)
         zero = (0,) * (2 * g)
         for half in G.half_edges:
             if tuple(-c for c in self.h[half]) != self.h[G.pair_[half]]:
@@ -345,8 +344,7 @@ class MarkedFatgraph:
 
         if self.pi is None:
             return
-        if set(self.pi) != G.half_edges:
-            raise ValueError("pi-marking must cover every oriented edge")
+        self._check_cover("pi-marking", self.pi)
         for half in G.half_edges:
             if w_inv(self.pi[half]) != self.pi[G.pair_[half]]:
                 raise ValueError(
@@ -369,6 +367,16 @@ class MarkedFatgraph:
         if self.pi[G.pair_[G.tail]] != boundary_word(g):
             raise ValueError(
                 "pi-marking of the reversed tail is not the boundary word")
+
+    def _check_cover(self, what: str, marking: Mapping[int, object]) -> None:
+        """Raise naming the first half-edge the marking misses or adds."""
+        missing = sorted(self.graph.half_edges - set(marking))
+        extra = set(marking) - self.graph.half_edges  # keys of any type
+        if missing or extra:
+            gap = (f"{missing[0]} is missing" if missing else
+                   f"{min(extra, key=repr)!r} is not in the graph")
+            raise ValueError(f"{what} must cover every oriented edge: "
+                             f"half-edge {gap}")
 
     def _h_rank(self) -> int:
         # one half per edge: _validate has checked that reversal negates
@@ -449,7 +457,7 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
         raise ValueError(f"no edge {edge_id}")
     e0, e1 = G.edges[edge_id]
     if G.edge_of[G.tail] == edge_id:
-        raise ValueError("cannot move on the tail edge")
+        raise ValueError(f"cannot move on the tail edge {edge_id}")
     v1, v2 = G.vertex_of[e1], G.vertex_of[e0]
     if v1 == v2:
         raise ValueError(f"edge {edge_id} is a loop")
@@ -476,8 +484,7 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     pi2 = None
     if mg.pi is not None:
         pi2 = dict(mg.pi)
-        known = {a: mg.pi[a], d: mg.pi[d]}
-        f_word = solve_vertex_word((e1, a, d), known, e1)
+        f_word = solve_vertex_word((e1, a, d), mg.pi, e1)
         pi2[e1] = f_word
         pi2[e0] = w_inv(f_word)
     result = MarkedFatgraph(graph2, h2, pi2)
@@ -611,47 +618,24 @@ def _build_chain(g: int) -> tuple[Fatgraph, dict[str, int]]:
 
 def _solve_markings(graph: Fatgraph, names: Mapping[str, int],
                     g: int) -> dict[int, Word]:
-    """Assign generators to the handle edges and solve all other words from
-    the vertex relations, working upward from the leaves of the spanning
-    tree of non-handle edges."""
+    """Assign generators to the handle edges and solve every other word by
+    solve_vertex_word, the vertex rule whitehead uses: each pass solves the
+    one unsolved half-edge of every non-tail vertex that has just one."""
     pi: dict[int, Word] = {}
-    handle_edges = set()
     for i in range(1, g + 1):
         for sym, gen in (("u", i), ("v", g + i)):
-            eid = names[f"{sym}{i}"]
-            handle_edges.add(eid)
-            head = graph.oriented(eid)
+            head = graph.oriented(names[f"{sym}{i}"])
             pi[head] = (gen,)
             pi[graph.pair_[head]] = (-gen,)
-
-    # spanning tree = all non-handle edges; BFS depth from the tail vertex
-    tail_v = graph.vertex_of[graph.tail]
-    depth = {tail_v: 0}
-    parent_half: dict[int, int] = {}
-    queue = [tail_v]
-    while queue:
-        v = queue.pop(0)
-        for half in graph.vertices[v]:
-            if graph.edge_of[half] in handle_edges:
-                continue
-            other = graph.vertex_of[graph.pair_[half]]
-            if other not in depth:
-                depth[other] = depth[v] + 1
-                # oriented edge pointing from other toward the root
-                parent_half[other] = half
-                queue.append(other)
-    if len(depth) != len(graph.vertices):
-        raise ValueError("non-handle edges do not span the graph")
-
-    for v in sorted(depth, key=lambda v: -depth[v]):
-        if v == tail_v:
-            continue
-        up = parent_half[v]
-        order = graph.vertices[graph.vertex_of[graph.pair_[up]]]
-        known = {h: pi[h] for h in order if h != graph.pair_[up]}
-        word = solve_vertex_word(order, known, graph.pair_[up])
-        pi[graph.pair_[up]] = word
-        pi[up] = w_inv(word)
+    while len(pi) < len(graph.half_edges):
+        solved = len(pi)
+        for v in graph.vertices:  # the tail's vertex alone has one half-edge
+            unknown = [h for h in v if h not in pi]
+            if len(unknown) == 1 < len(v):
+                pi[unknown[0]] = solve_vertex_word(v, pi, unknown[0])
+                pi[graph.pair_[unknown[0]]] = w_inv(pi[unknown[0]])
+        if len(pi) == solved:
+            raise ValueError("non-handle edges do not span the graph")
     return pi
 
 

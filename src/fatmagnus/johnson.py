@@ -26,8 +26,8 @@ from .algebra import (
     IAMap,
     TruncatedTensor,
     _check_letters,
+    _check_lie,
     hausdorff_tail,
-    is_lie,
     letter_name,
     row_reduce,
     star,
@@ -160,10 +160,7 @@ class GradedTau:
                 if v.genus != self.genus:
                     raise ValueError(
                         f"{where} has genus {v.genus}, not {self.genus}")
-                if v.graded(k + 1) != v:
-                    raise ValueError(f"{where} is not pure of degree {k + 1}")
-                if not is_lie(v):
-                    raise ValueError(f"{where} is not a Lie element")
+                _check_lie(v, k + 1, where)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.values)

@@ -3,8 +3,8 @@
 The series for each oriented edge is built degree by degree along the
 boundary cycle.  theta multiplies to one around every vertex below the new
 degree n, and the cyclic rotations of that product are conjugates, so the
-three corners of a vertex share one increment: minus the degree-n part of
-the product.  Degree n of an edge is -1/3 times the sum of the increments
+three corners of a vertex share one increment: the degree-n part of the
+product.  Degree n of an edge is plus a third of the sum of the increments
 over its tail-avoiding arc, so one sweep of the cycle per degree covers
 every edge at once, and no log is taken.
 
@@ -13,7 +13,7 @@ along the cycle; the other half is its reverse, with ell(reverse) =
 -ell(arc half).  Only the arc halves run exp_t: a reversed half-edge gets
 the antipode of its reverse's exponential, since S(exp x) = exp(-x) for
 Lie x.  The sweep puts each degree's increments over one denominator,
-with the -1/3 folded in, and walks the cycle once with a running dict of
+with the 1/3 folded in, and walks the cycle once with a running dict of
 integer numerators.  It copies that dict at each arc's start and takes
 the difference at the arc's end, so each edge is reduced once per
 degree.  A table stores ell and nothing it can derive: the integral
@@ -87,10 +87,9 @@ class MagnusTable:
             for h in arcs:
                 exps[h] = exp_t(ell[h].truncated(n))
                 exps[pair[h]] = antipode(exps[h])
-            # theta closes around each vertex below degree n, so minus the
-            # degree-n part of its product is the increment at each of its
-            # corners; step x -> y of the cycle turns at y's vertex
-            close = {i: -(exps[v[2]] * exps[v[1]] * exps[v[0]]).graded(n)
+            # a corner's increment: its vertex product in degree n (theta
+            # closes below n); step x -> y of the cycle turns at y's vertex
+            close = {i: (exps[v[2]] * exps[v[1]] * exps[v[0]]).graded(n)
                      for i, v in enumerate(G.vertices) if i != tail_v}
             inc = [close[G.vertex_of[y]] for y in cycle[1:]]
             ell = self._arc_sums(cycle, arcs, inc, n, ell)
@@ -133,15 +132,13 @@ class MagnusTable:
                   inc: list[TruncatedTensor], n: int,
                   base: dict[int, TruncatedTensor]
                   ) -> dict[int, TruncatedTensor]:
-        """base[h] - (inc[p] + ... + inc[q - 1]) / 3 on each arc [p..q].
-
-        Every increment is homogeneous of degree n and has the table's
-        shape.  Arc h starts where h sits on the cycle and ends at its
-        reverse.
-        """
+        """base[h] plus a third of inc[p] + ... + inc[q - 1] on each arc
+        [p..q], where each increment is the degree-n part of a vertex
+        product (the vertex relation), sign and all, in the table's shape.
+        Arc h starts where h sits on the cycle and ends at its reverse."""
         N = self.max_degree
         den = lcm(*(t.den for t in inc))
-        mult = [-(den // t.den) for t in inc]
+        mult = [den // t.den for t in inc]
         den *= 3
         pair = self.graph.pair_
         run: dict[int, int] = {}

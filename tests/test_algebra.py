@@ -528,7 +528,7 @@ def test_operations_leave_their_operands_unchanged(args):
     one = TruncatedTensor.unit(x.genus, x.max_degree)
     images = [TruncatedTensor.letter(x.genus, i, x.max_degree) + c
               for i, c in enumerate(m.corrections)]
-    operands = [a, x, one] + m.corrections + images
+    operands = [a, x, one] + list(m.corrections) + images
     before = [_state(t) for t in operands]
     results = [
         a + x, a - x, a * x, x * a, -a, a.scaled(Fraction(-2, 3)),
@@ -550,6 +550,17 @@ def test_ia_identity():
     t = TruncatedTensor.from_word(2, (0, 1, 2), Fraction(7, 3))
     assert m.apply(t) == t
     assert m.is_identity()
+
+
+def test_ia_corrections_cannot_be_reassigned():
+    # apply caches the letter images built from corrections, so an item
+    # assignment would leave equality and apply disagreeing
+    phi = IAMap.identity(1, 3)
+    u, v = TruncatedTensor.letter(1, 0, 3), TruncatedTensor.letter(1, 1, 3)
+    phi.apply(u)
+    with pytest.raises(TypeError):
+        phi.corrections[0] = u.bracket(v)
+    assert phi.apply(u) == u
 
 
 def test_ia_rejects_low_degree_corrections():

@@ -85,10 +85,15 @@ def test_wedge_of_vectors_is_alternating():
 def test_wedge_rejects_non_integer_letter_indices():
     with pytest.raises(ValueError, match="letter index out of range"):
         Lambda3(1, {(0, 1, 1.5): 1})
+    # the message names the triple and the genus
+    with pytest.raises(ValueError, match=r"\(0, 1, 1\.5\) for genus 1"):
+        Lambda3(1, {(0, 1, 1.5): 1})
 
 
 def test_wedge_validation_and_display():
     with pytest.raises(ValueError, match="out of range"):
+        Lambda3(1, {(0, 1, 2): 1})
+    with pytest.raises(ValueError, match=r"\(0, 1, 2\) for genus 1"):
         Lambda3(1, {(0, 1, 2): 1})
     with pytest.raises(ValueError, match="genus mismatch"):
         Lambda3.zero(1) + Lambda3.zero(2)
@@ -117,12 +122,12 @@ def test_varpi_of_zero_and_validation():
     z = TruncatedTensor(g, LIE_DEGREE)
     br = letter(g, 0).bracket(letter(g, 1))
     assert all(t.is_zero() for t in varpi(z, br))
-    with pytest.raises(ValueError, match="pure degree-two"):
+    with pytest.raises(ValueError, match="not pure of degree 2"):
         varpi(letter(g, 0), br)
     with pytest.raises(ValueError, match="not a Lie|Lie element"):
         varpi(TruncatedTensor.from_word(g, (0, 1), max_degree=3), br)
     # the message says which argument is at fault
-    with pytest.raises(ValueError, match="second argument is not a pure"):
+    with pytest.raises(ValueError, match="second argument is not pure"):
         varpi(br, letter(g, 0))
     with pytest.raises(ValueError, match="first argument is not a Lie"):
         symmetric_pair(TruncatedTensor.from_word(g, (0, 1), max_degree=3), br)

@@ -139,6 +139,11 @@ def test_rejects_multiple_boundary_components():
         Fatgraph(verts, mg.graph.edges, tail=mg.graph.tail)
 
 
+def test_rejects_tail_outside_the_graph():
+    with pytest.raises(ValueError, match="tail 7 is not a half-edge"):
+        Fatgraph([(0,), (1, 2, 3)], {0: (0, 1), 1: (2, 3)}, tail=7)
+
+
 def test_rejects_loop_with_tail_stub():
     # a loop at a trivalent vertex pinches off extra boundary components
     with pytest.raises(ValueError, match="not once-bordered"):
@@ -251,6 +256,33 @@ def test_marking_validation_names_out_of_range_generators():
         MarkedFatgraph(mg.graph, mg.h, pi)
 
 
+def test_marking_validation_names_the_half_edge_at_fault():
+    mg = symplectic_graph(1)
+    x = mg.graph.oriented(mg.edge_names["u1"])
+    short = dict(mg.h)
+    short[x] = (1,)
+    with pytest.raises(ValueError,
+                       match=f"marking vector at half-edge {x} has length 1"):
+        MarkedFatgraph(mg.graph, short)
+    missing = {y: v for y, v in mg.h.items() if y != x}
+    with pytest.raises(ValueError, match=f"H-marking must cover every "
+                       f"oriented edge: half-edge {x} is missing"):
+        MarkedFatgraph(mg.graph, missing)
+    extra = dict(mg.h)
+    extra[99] = (0, 0)
+    with pytest.raises(ValueError,
+                       match="H-marking .* half-edge 99 is not in the graph"):
+        MarkedFatgraph(mg.graph, extra)
+    # a key of another type is named too, not compared with the ints
+    extra = {**mg.h, "x": (0, 0)}
+    with pytest.raises(ValueError, match="half-edge 'x' is not in the graph"):
+        MarkedFatgraph(mg.graph, extra)
+    pi = {y: w for y, w in mg.pi.items() if y != x}
+    with pytest.raises(ValueError,
+                       match=f"pi-marking .* half-edge {x} is missing"):
+        MarkedFatgraph(mg.graph, mg.h, pi)
+
+
 def test_h_marking_alone_is_enough():
     mg = symplectic_graph(2)
     just_h = MarkedFatgraph(mg.graph, mg.h)
@@ -314,6 +346,8 @@ def test_figure_eight_is_valid_but_not_trivalent():
 def test_whitehead_rejects_tail_loop_and_high_valence():
     mg = figure_eight()
     with pytest.raises(ValueError, match="tail"):
+        whitehead(mg, 0)
+    with pytest.raises(ValueError, match="tail edge 0"):
         whitehead(mg, 0)
     with pytest.raises(ValueError, match="loop"):
         whitehead(mg, 1)
@@ -576,6 +610,20 @@ def test_handle_edges_carry_the_standard_generators():
     for i in range(1, g + 1):
         assert mg.pi[mg.graph.oriented(names[f"u{i}"])] == (i,)
         assert mg.pi[mg.graph.oriented(names[f"v{i}"])] == (g + i,)
+
+
+def test_canonical_pi_markings_word_for_word():
+    # every half-edge of the genus-1 and genus-2 chains, by id
+    assert symplectic_graph(1).pi == {
+        0: (2, 1, -2, -1), 1: (1, 2, -1, -2), 2: (-2, -1), 3: (1, 2),
+        4: (2, 1), 5: (-1, -2), 6: (-1,), 7: (1,), 8: (-2,), 9: (2,)}
+    assert symplectic_graph(2).pi == {
+        0: (4, 2, -4, -2, 3, 1, -3, -1), 1: (1, 3, -1, -3, 2, 4, -2, -4),
+        2: (3, 1, -3, -1), 3: (1, 3, -1, -3), 4: (4, 2, -4, -2),
+        5: (2, 4, -2, -4), 6: (-3, -1), 7: (1, 3), 8: (3, 1), 9: (-1, -3),
+        10: (-1,), 11: (1,), 12: (-3,), 13: (3,), 14: (-4, -2),
+        15: (2, 4), 16: (4, 2), 17: (-2, -4), 18: (-2,), 19: (2,),
+        20: (-4,), 21: (4,)}
 
 
 def test_spine_edges_cut_off_subchains():
