@@ -14,7 +14,9 @@ themselves; the private factory TruncatedTensor._of then reduces the gcd
 once, dividing in place the per-degree dicts handed to it, which it owns
 from then on.  TruncatedTensor.combination, sum c * t over (c, t) pairs
 put over one lcm, is the one linear combination: +, -, negation, scaled
-and hausdorff_tail are each one call to it.
+and hausdorff_tail are each one call to it.  TruncatedTensor.mul_graded
+is the degree-windowed product: one degree of a * b, with no other degree
+formed; a Magnus table reads each vertex increment off one.
 
 exp_t and log_t run one Horner loop (_horner) over y, the argument less its
 constant term.  If every term of y has degree >= m, the accumulator after
@@ -327,6 +329,18 @@ class TruncatedTensor:
         N = self.max_degree
         return self._of(self.genus, N, self.den * other.den,
                         _product(self.comps, other.comps, self.nletters, 0, N))
+
+    def mul_graded(self, other: "TruncatedTensor",
+                   degree: int) -> "TruncatedTensor":
+        """The degree-``degree`` part of self * other, and no other degree
+        of the product is formed."""
+        _check_shape(self.genus, self.max_degree, other)
+        N = self.max_degree
+        comps: list[dict[int, int]] = [{} for _ in range(N + 1)]
+        if 0 <= degree <= N:
+            comps[degree] = _product(self.comps, other.comps, self.nletters,
+                                     degree, degree)[degree]
+        return self._of(self.genus, N, self.den * other.den, comps)
 
     def bracket(self, other: "TruncatedTensor") -> "TruncatedTensor":
         """self * other - other * self, as one integer difference."""
@@ -644,10 +658,11 @@ class IAMap:
     that is the identity on degree 1. Supports application and
     composition (self after other is ``other.compose(self)`` in the group
     sense used here: see ``compose``), both exactly to the truncation.
-    corrections is a tuple, since apply caches the images built from it.
+    corrections is a read-only tuple, since apply caches the images built
+    from it.
     """
 
-    __slots__ = ("genus", "max_degree", "corrections", "_images")
+    __slots__ = ("genus", "max_degree", "_corrections", "_images")
 
     def __init__(self, genus: int, corrections: Sequence[TruncatedTensor],
                  max_degree: int = DEFAULT_MAX_DEGREE):
@@ -664,8 +679,12 @@ class IAMap:
                 raise ValueError(f"{where} has a degree-{md} term, below 2")
         self.genus = genus
         self.max_degree = max_degree
-        self.corrections = tuple(corrections)
+        self._corrections = tuple(corrections)
         self._images: list[TruncatedTensor] | None = None
+
+    @property
+    def corrections(self) -> tuple[TruncatedTensor, ...]:
+        return self._corrections
 
     @classmethod
     def identity(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "IAMap":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import dot, is_symplectic_matrix, row_reduce
@@ -289,7 +290,9 @@ class MarkedFatgraph:
     h maps every half-edge (as an oriented edge) to its homology vector,
     whose entries are ints where integral and Fractions otherwise;
     pi, when given, maps every half-edge to a reduced free-group word.
-    Validation is eager and raises ValueError with a diagnostic.
+    Both are read-only views, since the tables and is_geometric are read
+    off them once.  Validation is eager and raises ValueError with a
+    diagnostic.
     edge_names maps construction names to edge ids where a constructor
     gives them; magnus_tables holds the expansion tables built for this
     graph, by degree (see magnus.get_table).  is_geometric is set by the
@@ -300,11 +303,12 @@ class MarkedFatgraph:
                  pi: Optional[Mapping[int, Sequence[int]]] = None):
         self.graph = graph
         g = graph.genus()
-        self.h: dict[int, HVec] = {
-            half: _as_hvec(vec, g, half) for half, vec in h.items()}
-        self.pi: Optional[dict[int, Word]] = None
+        self.h: Mapping[int, HVec] = MappingProxyType({
+            half: _as_hvec(vec, g, half) for half, vec in h.items()})
+        self.pi: Optional[Mapping[int, Word]] = None
         if pi is not None:
-            self.pi = {half: w_reduce(word) for half, word in pi.items()}
+            self.pi = MappingProxyType(
+                {half: w_reduce(word) for half, word in pi.items()})
         self.edge_names: dict[str, int] = {}
         self.magnus_tables: dict[int, object] = {}
         self._geometric: Optional[bool] = None

@@ -10,13 +10,27 @@ every edge at once, and no log is taken.
 
 Each edge has one arc half-edge, whose tail-avoiding arc runs forward
 along the cycle; the other half is its reverse, with ell(reverse) =
--ell(arc half).  Only the arc halves run exp_t: a reversed half-edge gets
-the antipode of its reverse's exponential, since S(exp x) = exp(-x) for
-Lie x.  The sweep puts each degree's increments over one denominator,
-with the 1/3 folded in, and walks the cycle once with a running dict of
-integer numerators.  It copies that dict at each arc's start and takes
-the difference at the arc's end, so each edge is reduced once per
-degree.  A table stores ell and nothing it can derive: the integral
+-ell(arc half), so theta(reverse) is theta(arc half) inverted.  Only the
+arc halves run exp_t, and one degree-n product of two of them gives a
+vertex's increment X_n.  If (x, y, z) is any rotation of the vertex's
+relation order, theta(x)theta(y)theta(z) = 1 + X_n through degree n, so
+
+    X_n = [theta(x)theta(y)]_n - theta_n(pair z)
+        = theta_n(x) - [theta(pair z)theta(pair y)]_n.
+
+Every non-tail vertex v has two halves of one kind, arc or reversed: the
+cycle starts at the tail and pos(v[i+1]) = pos(pair v[i]) + 1, so three
+arc halves would need pos(v[0]) < pos(v[1]) < pos(v[2]) < pos(v[0]), and
+three reversed halves the same with >.  With two arc halves the first
+form reads X_n off them, the reversed half as z; with two reversed halves
+the second form does, the arc half as x.  Either way only arc
+exponentials enter.
+
+The sweep puts each degree's increments over one denominator, with the
+1/3 folded in, and walks the cycle once with a running dict of integer
+numerators.  It copies that dict at each arc's start and takes the
+difference at the arc's end, so each edge is reduced once per degree.
+A table stores ell and nothing it can derive: the integral
 tensors P = 6 ell_2, Q = 36 ell_3 and R = 216 ell_4 are exact rescalings
 of its graded parts, read off on each call.
 
@@ -36,7 +50,6 @@ from typing import Optional, Sequence
 from .algebra import (
     DEFAULT_MAX_DEGREE,
     TruncatedTensor,
-    antipode,
     exp_t,
     lie_pretty,
     star,
@@ -80,17 +93,31 @@ class MagnusTable:
         key = G.chord_key()
         arcs = {h for i, h in enumerate(cycle) if i < key[i]}
 
+        # per non-tail vertex, (s, x, y, z) with arc halves x, y, z and
+        # theta(x) theta(y) = theta(z) + s X through degree n, where X is
+        # the vertex's increment; the module docstring says why one exists
+        forms = {}
+        for i, v in enumerate(G.vertices):
+            if i == tail_v:
+                continue
+            r = (v[2], v[1], v[0])  # the relation order
+            two_arcs = sum(h in arcs for h in r) == 2
+            k = next(k for k, h in enumerate(r) if (h in arcs) != two_arcs)
+            # the rotation (a, b, lone) puts the half of the odd kind last
+            lone, a, b = r[k], r[k - 2], r[k - 1]
+            forms[i] = ((1, a, b, pair[lone]) if two_arcs
+                        else (-1, pair[b], pair[a], lone))
+
         ell = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
                for h in arcs}
         for n in range(2, max_degree + 1):
-            exps = {}
-            for h in arcs:
-                exps[h] = exp_t(ell[h].truncated(n))
-                exps[pair[h]] = antipode(exps[h])
+            exps = {h: exp_t(ell[h].truncated(n)) for h in arcs}
             # a corner's increment: its vertex product in degree n (theta
             # closes below n); step x -> y of the cycle turns at y's vertex
-            close = {i: (exps[v[2]] * exps[v[1]] * exps[v[0]]).graded(n)
-                     for i, v in enumerate(G.vertices) if i != tail_v}
+            close = {i: TruncatedTensor.combination(
+                         g, ((s, exps[x].mul_graded(exps[y], n)),
+                             (-s, exps[z].graded(n))), n)
+                     for i, (s, x, y, z) in forms.items()}
             inc = [close[G.vertex_of[y]] for y in cycle[1:]]
             ell = self._arc_sums(cycle, arcs, inc, n, ell)
         for h in arcs:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -104,6 +105,22 @@ def test_product_associative(a, b, c):
 @given(tensors(), tensors(), tensors())
 def test_product_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+@given(genus_1_or_2(tensors, tensors))
+def test_mul_graded_is_one_degree_of_the_product(ab):
+    a, b = ab
+    for d in range(a.max_degree + 1):
+        assert a.mul_graded(b, d) == (a * b).graded(d)
+
+
+def test_mul_graded_rejects_a_shape_mismatch_as_mul_does():
+    u1 = TruncatedTensor.letter(1, 0)
+    for other in (TruncatedTensor.letter(2, 0), u1.truncated(3)):
+        with pytest.raises(ValueError) as by_mul:
+            u1 * other
+        with pytest.raises(ValueError, match=re.escape(str(by_mul.value))):
+            u1.mul_graded(other, 2)
 
 
 @given(tensors(), tensors())
@@ -561,6 +578,17 @@ def test_ia_corrections_cannot_be_reassigned():
     with pytest.raises(TypeError):
         phi.corrections[0] = u.bracket(v)
     assert phi.apply(u) == u
+
+
+def test_ia_corrections_cannot_be_rebound():
+    # rebinding the whole tuple would leave the cached images stale too
+    phi = IAMap.identity(1, 3)
+    u, v = TruncatedTensor.letter(1, 0, 3), TruncatedTensor.letter(1, 1, 3)
+    psi = IAMap(1, [u.bracket(v), TruncatedTensor(1, 3)], 3)
+    phi.apply(u)
+    with pytest.raises(AttributeError):
+        phi.corrections = psi.corrections
+    assert phi != psi and phi.apply(u) == u
 
 
 def test_ia_rejects_low_degree_corrections():

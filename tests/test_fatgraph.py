@@ -291,6 +291,18 @@ def test_h_marking_alone_is_enough():
         just_h.pi_of(mg.graph.tail)
 
 
+def test_markings_are_read_only():
+    # tables and the cached is_geometric are read off the markings once,
+    # so a marking changed in place would leave them describing the old one
+    mg = symplectic_graph(1)
+    x = next(h for h in mg.graph.half_edges if mg.pi[h] == (1,))
+    with pytest.raises(TypeError):
+        mg.h[x] = (5, 5)
+    with pytest.raises(TypeError):
+        mg.pi[x] = (2,)
+    assert mg.h[x] == (1, 0) and mg.pi[x] == (1,)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_symplectic_graph_is_geometric(g):
     mg = symplectic_graph(g)

@@ -244,6 +244,22 @@ def test_build_equals_the_prefix_sum_reference(g):
             assert tab.R(h) == ref.R[h]
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_every_vertex_has_two_halves_of_one_kind(g):
+    # the build reads each vertex increment off the exponentials of the
+    # arc halves, those whose tail-avoiding arc runs forward on the cycle;
+    # it needs every non-tail vertex to have one or two of them
+    path = random_walk(symplectic_graph(g), 20, random.Random(10 + g))
+    for mg in [path.initial] + [mv.result for mv in path.moves]:
+        G = mg.graph
+        key = G.chord_key()
+        arcs = {h for i, h in enumerate(G.boundary_cycle()) if i < key[i]}
+        tail_v = G.vertex_of[G.tail]
+        for vi, v in enumerate(G.vertices):
+            if vi != tail_v:
+                assert sum(h in arcs for h in v) in (1, 2), (vi, v)
+
+
 def theta_closes(theta, mg):
     """theta multiplies to one around every vertex but the tail's."""
     G = mg.graph
