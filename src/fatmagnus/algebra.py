@@ -189,10 +189,6 @@ class TruncatedTensor:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def zero(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
-        return cls(genus, max_degree)
-
-    @classmethod
     def unit(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
         return cls.from_terms(genus, {(): 1}, max_degree)
 
@@ -501,25 +497,6 @@ def log_t(x: TruncatedTensor) -> TruncatedTensor:
                                        for j in range(1, x.max_degree + 1)])
 
 
-def antipode(x: TruncatedTensor) -> TruncatedTensor:
-    """S(w_1...w_k) = (-1)^k w_k...w_1, extended linearly.
-
-    S is an anti-automorphism with S(a) = -a on letters, so S(exp x) =
-    exp(-x) for every Lie element x.
-    """
-    n = x.nletters
-    comps: list[dict[int, int]] = [{} for _ in x.comps]
-    for k, comp in enumerate(x.comps):
-        sign, out = (-1) ** k, comps[k]
-        for key, v in comp.items():
-            rev = 0
-            for _ in range(k):
-                key, c = divmod(key, n)
-                rev = rev * n + c
-            out[rev] = sign * v
-    return TruncatedTensor._of(x.genus, x.max_degree, x.den, comps)
-
-
 def star(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     """Baker-Campbell-Hausdorff product log(exp x * exp y)."""
     return log_t(exp_t(x) * exp_t(y))
@@ -658,16 +635,18 @@ class IAMap:
     that is the identity on degree 1. Supports application and
     composition (self after other is ``other.compose(self)`` in the group
     sense used here: see ``compose``), both exactly to the truncation.
-    corrections is a read-only tuple, since apply caches the images built
-    from it.
+    The genus and truncation are read off corrections[0], and every
+    correction must share them; identity(genus, max_degree) is the map
+    with zero corrections.  corrections is a read-only tuple, since apply
+    caches the images built from it.
     """
 
     __slots__ = ("genus", "max_degree", "_corrections", "_images")
 
-    def __init__(self, genus: int, corrections: Sequence[TruncatedTensor],
-                 max_degree: int = DEFAULT_MAX_DEGREE):
-        if len(corrections) != 2 * genus:
+    def __init__(self, corrections: Sequence[TruncatedTensor]):
+        if not corrections or len(corrections) != 2 * corrections[0].genus:
             raise ValueError("need one correction per letter")
+        genus, max_degree = corrections[0].genus, corrections[0].max_degree
         for i, c in enumerate(corrections):
             where = f"correction of {letter_name(genus, i)}"
             if (c.genus, c.max_degree) != (genus, max_degree):
@@ -688,11 +667,7 @@ class IAMap:
 
     @classmethod
     def identity(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "IAMap":
-        zero = [TruncatedTensor(genus, max_degree) for _ in range(2 * genus)]
-        return cls(genus, zero, max_degree)
-
-    def is_identity(self) -> bool:
-        return all(c.is_zero() for c in self.corrections)
+        return cls([TruncatedTensor(genus, max_degree)] * (2 * genus))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IAMap):
@@ -720,4 +695,4 @@ class IAMap:
         _check_shape(self.genus, self.max_degree, other)
         new = [other.corrections[i] + other.apply(self.corrections[i])
                for i in range(2 * self.genus)]
-        return IAMap(self.genus, new, self.max_degree)
+        return IAMap(new)

@@ -55,10 +55,6 @@ def w_inv(word: Sequence[int]) -> Word:
     return tuple(-c for c in reversed(word))
 
 
-def w_conjugate(word: Sequence[int], by: Sequence[int]) -> Word:
-    return w_mul(by, word, w_inv(by))
-
-
 def w_abelianize(word: Sequence[int], rank: int) -> tuple[int, ...]:
     v = [0] * rank
     for c in word:
@@ -290,9 +286,9 @@ class MarkedFatgraph:
     h maps every half-edge (as an oriented edge) to its homology vector,
     whose entries are ints where integral and Fractions otherwise;
     pi, when given, maps every half-edge to a reduced free-group word.
-    Both are read-only views, since the tables and is_geometric are read
-    off them once.  Validation is eager and raises ValueError with a
-    diagnostic.
+    Both are read-only properties over read-only views, since the tables
+    and is_geometric are read off them once.  Validation is eager and
+    raises ValueError with a diagnostic.
     edge_names maps construction names to edge ids where a constructor
     gives them; magnus_tables holds the expansion tables built for this
     graph, by degree (see magnus.get_table).  is_geometric is set by the
@@ -303,35 +299,38 @@ class MarkedFatgraph:
                  pi: Optional[Mapping[int, Sequence[int]]] = None):
         self.graph = graph
         g = graph.genus()
-        self.h: Mapping[int, HVec] = MappingProxyType({
+        self._h: Mapping[int, HVec] = MappingProxyType({
             half: _as_hvec(vec, g, half) for half, vec in h.items()})
-        self.pi: Optional[Mapping[int, Word]] = None
+        self._pi: Optional[Mapping[int, Word]] = None
         if pi is not None:
-            self.pi = MappingProxyType(
+            self._pi = MappingProxyType(
                 {half: w_reduce(word) for half, word in pi.items()})
         self.edge_names: dict[str, int] = {}
         self.magnus_tables: dict[int, object] = {}
         self._geometric: Optional[bool] = None
         self._validate()
 
+    @property
+    def h(self) -> Mapping[int, HVec]:
+        return self._h
+
+    @property
+    def pi(self) -> Optional[Mapping[int, Word]]:
+        return self._pi
+
     def genus(self) -> int:
         return self.graph.genus()
 
-    def pi_of(self, half: int) -> Word:
-        if self.pi is None:
-            raise ValueError("no pi-marking present")
-        return self.pi[half]
-
     def _validate(self) -> None:
-        G = self.graph
+        G, h, pi = self.graph, self._h, self._pi
         g = G.genus()
-        self._check_cover("H-marking", self.h)
+        self._check_cover("H-marking", h)
         zero = (0,) * (2 * g)
         for half in G.half_edges:
-            if tuple(-c for c in self.h[half]) != self.h[G.pair_[half]]:
+            if tuple(-c for c in h[half]) != h[G.pair_[half]]:
                 raise ValueError(
                     f"H-marking not odd under reversal at half-edge {half}")
-        if self.h[G.tail] != zero:
+        if h[G.tail] != zero:
             raise ValueError("tail H-marking must vanish")
         tail_v = G.vertex_of[G.tail]
         for vi, v in enumerate(G.vertices):
@@ -339,36 +338,36 @@ class MarkedFatgraph:
                 continue
             total = [0] * 2 * g
             for half in v:
-                for j, c in enumerate(self.h[half]):
+                for j, c in enumerate(h[half]):
                     total[j] += c
             if any(total):
                 raise ValueError(f"H-marking does not balance at vertex {v}")
         if self._h_rank() != 2 * g:
             raise ValueError("marking values do not span the full homology")
 
-        if self.pi is None:
+        if pi is None:
             return
-        self._check_cover("pi-marking", self.pi)
+        self._check_cover("pi-marking", pi)
         for half in G.half_edges:
-            if w_inv(self.pi[half]) != self.pi[G.pair_[half]]:
+            if w_inv(pi[half]) != pi[G.pair_[half]]:
                 raise ValueError(
                     f"pi-marking not inverse under reversal at {half}")
             try:
-                ab = w_abelianize(self.pi[half], 2 * g)
+                ab = w_abelianize(pi[half], 2 * g)
             except IndexError:  # a generator past 2g has no slot
-                gen = max(map(abs, self.pi[half]))
+                gen = max(map(abs, pi[half]))
                 raise ValueError(f"pi-marking at half-edge {half} uses "
                                  f"generator {gen}, out of range for genus "
                                  f"{g}") from None
-            if ab != tuple(self.h[half]):
+            if ab != tuple(h[half]):
                 raise ValueError(
                     f"pi-marking abelianization mismatch at {half}")
         for vi, v in enumerate(G.vertices):
             if vi == tail_v:
                 continue
-            if w_mul(*(self.pi[half] for half in reversed(v))):
+            if w_mul(*(pi[half] for half in reversed(v))):
                 raise ValueError(f"pi-marking product at vertex {v} is not 1")
-        if self.pi[G.pair_[G.tail]] != boundary_word(g):
+        if pi[G.pair_[G.tail]] != boundary_word(g):
             raise ValueError(
                 "pi-marking of the reversed tail is not the boundary word")
 
@@ -480,7 +479,6 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     new_vertices.append((e0, c, b))
     graph2 = Fatgraph(new_vertices, G.edges, G.tail)
 
-    g = mg.genus()
     h2 = dict(mg.h)
     f_vec = tuple(-(x + y) for x, y in zip(mg.h[a], mg.h[d]))
     h2[e1] = f_vec
@@ -656,6 +654,3 @@ def symplectic_graph(g: int) -> MarkedFatgraph:
     mg._geometric = True
     return mg
 
-
-def symplectic_edge_names(g: int) -> dict[str, int]:
-    return _build_chain(g)[1]

@@ -71,20 +71,22 @@ def _signed_slots(genus: int) -> list[tuple[int, int]]:
             for j in range(2 * genus)]
 
 
-def tensor_values(genus: int, parts: Sequence[tuple[Sequence, TruncatedTensor]],
+def tensor_values(parts: Sequence[tuple[Sequence, TruncatedTensor]],
                   scale: Fraction = Fraction(1)) -> tuple[TruncatedTensor, ...]:
     """Map values of scale * sum_i vec_i (x) S_i on the letter basis.
 
     A tensor vec (x) S acts on homology by x -> dot(vec, x) S.  The sum
     has letter-slot components c_k = scale * sum_i vec_i[k] S_i, and its
     value on letter j is sign * c_slot for the (slot, sign) entry of
-    dual_vector(genus, j): the inverse of tensor_components.
+    dual_vector(genus, j): the inverse of tensor_components.  The genus
+    and truncation are read off the first series; every series must
+    share them.
     """
     if not parts:
         raise ValueError("need at least one part")
+    genus, n = parts[0][1].genus, parts[0][1].max_degree
     if any(len(vec) != 2 * genus for vec, _ in parts):
         raise ValueError("need one vector entry per letter")
-    n = parts[0][1].max_degree
     return tuple(TruncatedTensor.combination(
         genus, [(sign * vec[k] * scale, series) for vec, series in parts], n)
         for k, sign in _signed_slots(genus))
@@ -289,7 +291,7 @@ def _move_map(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor],
     # solver (the corner pieces alone leave a global sign free)
     parts = [(av, lb + lc - head), (bv, lb - ld + le - head),
              (cv, la + lb + le)]
-    return tensor_values(src.genus(), parts, Fraction(1, 3))
+    return tensor_values(parts, Fraction(1, 3))
 
 
 def move_ia(move: WhiteheadMove, m: int) -> IAMap:
@@ -304,7 +306,7 @@ def move_ia(move: WhiteheadMove, m: int) -> IAMap:
     _check_degree(m)
     ell = get_table(move.source, m + 1).ell_map
     head = -star(ell[move.d], ell[move.a])
-    return IAMap(move.source.genus(), _move_map(move, ell, head), m + 1)
+    return IAMap(_move_map(move, ell, head))
 
 
 def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
@@ -331,7 +333,7 @@ def tau2_closed(move: WhiteheadMove) -> MoveTau:
           - (ha - hb.scaled(2) - hc).bracket(ha.bracket(hc)))
     sc = ha.bracket(pb) - hb.bracket(pa) + (ha - hb).bracket(ha.bracket(hb))
     parts = [(src.h[move.a], sa), (src.h[move.b], sb), (src.h[move.c], sc)]
-    values = {2: tensor_values(g, parts, Fraction(-1, 36))}
+    values = {2: tensor_values(parts, Fraction(-1, 36))}
     return MoveTau(move, GradedTau(g, values))
 
 
@@ -370,7 +372,7 @@ def tau3_closed(move: WhiteheadMove) -> MoveTau:
           - br(b, qa) + br(b, br(a, pa)) - br(b, br(a, pb)).scaled(2)
           + br(b, br(b, pa)) + br(pa, pb))
     parts = [(src.h[move.a], sa), (src.h[move.b], sb), (src.h[move.c], sc)]
-    values = {3: tensor_values(g, parts, Fraction(-1, 216))}
+    values = {3: tensor_values(parts, Fraction(-1, 216))}
     return MoveTau(move, GradedTau(g, values))
 
 
@@ -420,13 +422,13 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
     lt = [tt.ell(x) for x in basis]
     corr = [TruncatedTensor(g, n) for _ in range(2 * g)]
     for d in range(2, n + 1):
-        phi = IAMap(g, corr, n)
+        phi = IAMap(corr)
         resid = [(ls[i] - phi.apply(lt[i])).graded(d)
                  for i in range(2 * g)]
         corr = [TruncatedTensor.combination(
                     g, [(1, corr[j])] + list(zip(inv[j], resid)), n)
                 for j in range(2 * g)]
-    return IAMap(g, corr, n)
+    return IAMap(corr)
 
 
 def ia_graded(phi: IAMap) -> GradedTau:
@@ -485,8 +487,8 @@ def path_ia(path: MovePath, m: int) -> IAMap:
     ValueError on a non-geometric initial marking."""
     g, n = path.initial.genus(), m + 1
     steps = [_move_map(*step) for step in _path_steps(path, m)]
-    return IAMap(g, [TruncatedTensor.combination(
-        g, [(1, corr[i]) for corr in steps], n) for i in range(2 * g)], n)
+    return IAMap([TruncatedTensor.combination(
+        g, [(1, corr[i]) for corr in steps], n) for i in range(2 * g)])
 
 
 def tau_path(path: MovePath, m: int) -> GradedTau:

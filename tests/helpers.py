@@ -52,11 +52,7 @@ def lie_tensors(draw, genus=1, max_degree=4, max_terms=3):
 def ia_maps(draw, genus=1, max_degree=4):
     corr = [draw(tensors(genus, max_degree, min_degree=2, max_terms=2))
             for _ in range(2 * genus)]
-    return IAMap(genus, corr, max_degree)
-
-
-def frac(p, q=1):
-    return Fraction(p, q)
+    return IAMap(corr)
 
 
 def figure_eight():
@@ -571,7 +567,7 @@ def reference_move_ia(move, m):
         for k in tau.degrees():
             c = c + tau.values[k][j]
         corr.append(c)
-    return IAMap(g, corr, m + 1)
+    return IAMap(corr)
 
 
 # -- the searches that canonical forms replaced, kept as references --------

@@ -45,7 +45,6 @@ from fatmagnus.fatgraph import (
     apply_path,
     markings_equal,
     rooted_isomorphism,
-    symplectic_edge_names,
     symplectic_graph,
     whitehead,
 )
@@ -170,9 +169,18 @@ def test_shape_and_degree_validation():
         with pytest.raises(ValueError, match=f"needs 2 entries, not {len(vec)}"):
             t.value(2, vec)
     with pytest.raises(ValueError, match="one vector entry per letter"):
-        tensor_values(1, [((1, 0, 0), zero)])
+        tensor_values([((1, 0, 0), zero)])
     with pytest.raises(ValueError, match="need at least one part"):
-        tensor_values(1, [])
+        tensor_values([])
+    # the shape is read off the first series, and every series must share it
+    with pytest.raises(ValueError, match="genus mismatch: genus 2, N 3 vs "
+                       "genus 1, N 3"):
+        tensor_values([((1, 0), TruncatedTensor(1, 3)),
+                       ((1, 0), TruncatedTensor(2, 3))])
+    with pytest.raises(ValueError, match="max_degree mismatch: genus 1, N 4 "
+                       "vs genus 1, N 3"):
+        tensor_values([((1, 0), TruncatedTensor(1, 3)),
+                       ((0, 1), TruncatedTensor(1, 4))])
     # a degree the value does not hold is named, with the degrees it holds
     held = r"degree 3 not held: this value holds degrees \(1, 2\)"
     for read in (lambda: t.value(3, (1, 0)), lambda: t.pairs(3),
@@ -248,7 +256,7 @@ def test_duality_is_one_signed_permutation_on_move_data():
             fractional += any(Fraction(x).denominator > 1
                               for vec, _ in parts for x in vec)
             for scale in (Fraction(1), Fraction(-5, 3)):
-                values = tensor_values(g, parts, scale)
+                values = tensor_values(parts, scale)
                 assert values == reference_tensor_values(g, parts, scale)
                 comps = tensor_components(values)
                 assert comps == reference_tensor_components(values)
@@ -273,12 +281,12 @@ def test_duality_is_one_signed_permutation_on_random_tensors(data):
     parts = [(data.draw(vectors), data.draw(lie_tensors(g, 3)))
              for _ in range(data.draw(st.integers(1, 3)))]
     scale = data.draw(coeffs)
-    values = tensor_values(g, parts, scale)
+    values = tensor_values(parts, scale)
     assert values == reference_tensor_values(g, parts, scale)
     assert tensor_components(values) == reference_tensor_components(values)
     assert bracket_map(values) == reference_bracket_map(values)
-    assert tensor_values(g, [(dual_vector(g, j), v)
-                             for j, v in enumerate(values)]) == values
+    assert tensor_values([(dual_vector(g, j), v)
+                          for j, v in enumerate(values)]) == values
 
 
 # -- the derivation extension ----------------------------------------------
@@ -355,8 +363,8 @@ def test_solver_stays_exact_on_a_non_unimodular_marking():
 
 
 def test_solver_rejects_rank_deficient_edge_sets():
-    names = symplectic_edge_names(1)
     one = symplectic_graph(1)
+    names = one.edge_names
     with pytest.raises(ValueError, match="do not span"):
         ia_between(one, one, {names["u1"], names["v1"]}, 2)
 
@@ -376,11 +384,11 @@ def test_degree_one_is_the_signed_label_triple():
         parts = [(av, hb.bracket(hc)), (bv, hc.bracket(ha)),
                  (cv, ha.bracket(hb))]
         got = tau_move(mv, 1).tau.values[1]
-        assert got == tensor_values(2, parts, Fraction(-1, 6))
+        assert got == tensor_values(parts, Fraction(-1, 6))
         if any(not v.is_zero() for v in got):
             seen += 1
             # the combination is genuinely signed: the mirrored scale fails
-            assert got != tensor_values(2, parts, Fraction(1, 6))
+            assert got != tensor_values(parts, Fraction(1, 6))
         cur = mv.result
         if seen >= 3:
             break
@@ -503,7 +511,7 @@ def test_quiet_label_moves_simplify():
             ha, hc = letter_vec(g, av, 3), letter_vec(g, cv, 3)
             pb = tab.P(mv.b)
             parts = [(av, hc.bracket(pb)), (cv, ha.bracket(pb).scaled(-1))]
-            want2 = tensor_values(g, parts, Fraction(1, 36))
+            want2 = tensor_values(parts, Fraction(1, 36))
             assert tau_move(mv, 2).tau.values[2] == want2
 
             tab = get_table(src, 4)
@@ -514,7 +522,7 @@ def test_quiet_label_moves_simplify():
                   - hc.bracket(hc.bracket(pb)))
             sc = (ha.bracket(qb) + pa.bracket(pb)
                   + ha.bracket(ha.bracket(pb)))
-            want3 = tensor_values(g, [(av, sa), (cv, sc.scaled(-1))],
+            want3 = tensor_values([(av, sa), (cv, sc.scaled(-1))],
                                   Fraction(1, 216))
             assert tau_move(mv, 3).tau.values[3] == want3
 
@@ -539,13 +547,13 @@ def test_quiet_label_degree_four_needs_quadratic_corrections():
             quad_c = (ha.bracket(pa.bracket(pb)) + pa.bracket(ha.bracket(pb))
                       + pb.bracket(pb.bracket(ha)))
             full = tensor_values(
-                g, [(av, head_a - quad_a), (cv, (head_c + quad_c).scaled(-1))],
+                [(av, head_a - quad_a), (cv, (head_c + quad_c).scaled(-1))],
                 Fraction(1, 1296))
             got = tau_move(mv, 4).tau.values[4]
             assert got == full
             # without the P/Q-quadratic block the formula is wrong
             bare = tensor_values(
-                g, [(av, head_a), (cv, head_c.scaled(-1))],
+                [(av, head_a), (cv, head_c.scaled(-1))],
                 Fraction(1, 1296))
             differs += got != bare
     assert differs
@@ -742,7 +750,7 @@ def test_short_relation_loops_vanish():
         path = apply_path(mg, [eid, eid])
         fwd = move_ia(path.moves[0], 3)
         back = move_ia(path.moves[1], 3)
-        assert fwd.compose(back).is_identity()
+        assert fwd.compose(back) == IAMap.identity(2, 4)
         assert tau_path(path, 3).is_zero()
     # moves on vertex-disjoint edges commute
     G = mg.graph

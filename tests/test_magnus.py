@@ -32,7 +32,6 @@ from fatmagnus.algebra import (
 from fatmagnus.fatgraph import (
     MarkedFatgraph,
     MovePath,
-    symplectic_edge_names,
     symplectic_graph,
     whitehead,
 )
@@ -97,7 +96,7 @@ def series_tail(g):
 @pytest.mark.parametrize("g", [1, 2])
 def test_frozen_series_on_canonical_graph(g):
     mg = symplectic_graph(g)
-    names = symplectic_edge_names(g)
+    names = mg.edge_names
     tab = get_table(mg, N)
     for i in range(1, g + 1):
         u_head = mg.graph.oriented(names[f"u{i}"])
@@ -419,7 +418,7 @@ def test_ell_word_reproduces_marking_words():
     # spelling out pi(x) in handle edges recovers the series of x itself
     g = 2
     mg = symplectic_graph(g)
-    names = symplectic_edge_names(g)
+    names = mg.edge_names
     G = mg.graph
     gen_half = {}
     for i in range(1, g + 1):
@@ -440,7 +439,7 @@ def test_ell_word_reproduces_marking_words():
 def test_dump_table_lists_every_edge():
     mg = symplectic_graph(1)
     out = dump_table(mg, N)
-    for name in symplectic_edge_names(1):
+    for name in mg.edge_names:
         assert name in out
     assert len(out.splitlines()) >= len(mg.graph.edges)
 
