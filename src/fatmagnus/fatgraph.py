@@ -287,8 +287,10 @@ class MarkedFatgraph:
     whose entries are ints where integral and Fractions otherwise;
     pi, when given, maps every half-edge to a reduced free-group word.
     Both are read-only properties over read-only views, since the tables
-    and is_geometric are read off them once.  Validation is eager and
-    raises ValueError with a diagnostic.
+    and is_geometric are read off them once.  The public constructor
+    validates eagerly and raises ValueError with a diagnostic.  The
+    results of whitehead skip that check: each is valid by construction
+    from its already-validated source (see whitehead).
     edge_names maps construction names to edge ids where a constructor
     gives them; magnus_tables holds the expansion tables built for this
     graph, by degree (see magnus.get_table).  is_geometric is set by the
@@ -309,6 +311,24 @@ class MarkedFatgraph:
         self.magnus_tables: dict[int, object] = {}
         self._geometric: Optional[bool] = None
         self._validate()
+
+    @classmethod
+    def _trusted(cls, graph: Fatgraph, h: dict[int, HVec],
+                 pi: Optional[dict[int, Word]],
+                 geometric: Optional[bool]) -> "MarkedFatgraph":
+        """Wrap fresh markings without validation or re-normalization.
+
+        Only for whitehead, whose h and pi are built by the move formula
+        from a validated source, with every entry already normalized.
+        """
+        mg = object.__new__(cls)
+        mg.graph = graph
+        mg._h = MappingProxyType(h)
+        mg._pi = None if pi is None else MappingProxyType(pi)
+        mg.edge_names = {}
+        mg.magnus_tables = {}
+        mg._geometric = geometric
+        return mg
 
     @property
     def h(self) -> Mapping[int, HVec]:
@@ -455,7 +475,24 @@ class WhiteheadMove:
 
 
 def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
+    """Collapse edge edge_id and re-expand it the other way.
+
+    The result is valid by construction from the validated source, so it
+    is not validated again.  The move keeps the half-edge set and the
+    tail edge with its markings; the new edge f takes e's half-edges,
+    its marking negated across the reversal.  The source's two vertices
+    at e give the move relation a + b + c + d = 0, so both new vertices,
+    (f, a, d) with f = -(a + d) and (f reversed, c, b), balance.  f lies
+    in the source's span and e = -(a + b) in the result's, so the span
+    is kept.  The word of f solves the vertex rule at (f, a, d), the
+    source's relation on the words of a, b, c, d closes the other
+    vertex, and f's word abelianizes to f's vector.  Copied entries are
+    already normalized; only f's two vectors are normalized anew, since
+    a sum of Fractions can be an int.
+    """
     G = mg.graph
+    if type(edge_id) is not int:
+        raise ValueError(f"edge id {edge_id!r} is not an int")
     if edge_id not in G.edges:
         raise ValueError(f"no edge {edge_id}")
     e0, e1 = G.edges[edge_id]
@@ -479,18 +516,19 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     new_vertices.append((e0, c, b))
     graph2 = Fatgraph(new_vertices, G.edges, G.tail)
 
+    g = G.genus()
     h2 = dict(mg.h)
-    f_vec = tuple(-(x + y) for x, y in zip(mg.h[a], mg.h[d]))
+    f_vec = _as_hvec([-(x + y) for x, y in zip(mg.h[a], mg.h[d])], g, e1)
     h2[e1] = f_vec
-    h2[e0] = tuple(-x for x in f_vec)
+    h2[e0] = _as_hvec([-x for x in f_vec], g, e0)
     pi2 = None
     if mg.pi is not None:
         pi2 = dict(mg.pi)
         f_word = solve_vertex_word((e1, a, d), mg.pi, e1)
         pi2[e1] = f_word
         pi2[e0] = w_inv(f_word)
-    result = MarkedFatgraph(graph2, h2, pi2)
-    result._geometric = mg._geometric  # a move keeps it either way
+    # a move keeps is_geometric either way
+    result = MarkedFatgraph._trusted(graph2, h2, pi2, mg._geometric)
     return WhiteheadMove(mg, result, edge_id, a, b, c, d, e1)
 
 
@@ -501,13 +539,17 @@ class MovePath:
     moves: tuple[WhiteheadMove, ...]
 
     def __post_init__(self) -> None:
-        ends = (self.initial,) + tuple(mv.result for mv in self.moves)
+        end = self.initial
         for step, mv in enumerate(self.moves):
-            if mv.source is not ends[step]:
+            if not isinstance(mv, WhiteheadMove):
+                raise ValueError(f"step {step} is {mv!r}, not a "
+                                 "WhiteheadMove")
+            if mv.source is not end:
                 where = (f"the result of step {step - 1}" if step
                          else "the initial graph")
                 raise ValueError(f"step {step} (edge {mv.edge_id}) does not "
                                  f"start from {where}")
+            end = mv.result
 
     @property
     def final(self) -> MarkedFatgraph:
@@ -644,8 +686,8 @@ def _solve_markings(graph: Fatgraph, names: Mapping[str, int],
 def symplectic_graph(g: int) -> MarkedFatgraph:
     """The canonical marked genus-g fatgraph: a chain of handle blocks with
     the tail at the left end, marked by the standard symplectic generators."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    if type(g) is not int or g < 1:
+        raise ValueError(f"genus must be a positive int, got {g!r}")
     graph, names = _build_chain(g)
     pi = _solve_markings(graph, names, g)
     h = {half: w_abelianize(word, 2 * g) for half, word in pi.items()}

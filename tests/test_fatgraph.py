@@ -383,6 +383,17 @@ def test_whitehead_rejects_tail_loop_and_high_valence():
         whitehead(mg2, 99)
 
 
+@pytest.mark.parametrize("as_other_type", [float, bool])
+def test_whitehead_rejects_a_non_int_edge_id(as_other_type):
+    mg = symplectic_graph(2)
+    # 3.0 == 3 and True == 1 both find a movable edge by dict lookup
+    eid = 1 if as_other_type is bool else 3
+    assert eid in mg.graph.movable_edges()
+    bad = as_other_type(eid)
+    with pytest.raises(ValueError, match=f"edge id {bad!r} is not an int"):
+        whitehead(mg, bad)
+
+
 # -- Whitehead moves -------------------------------------------------------
 
 
@@ -463,6 +474,43 @@ def test_geometricity_is_known_by_construction():
         off.check_geometric()
 
 
+def assert_equals_full_construction(mg):
+    """mg passes the full check and equals the validated construction of
+    its own markings, entry types and geometric flag included."""
+    mg._validate()
+    full = MarkedFatgraph(mg.graph, mg.h, mg.pi)
+    assert mg.h == full.h and mg.pi == full.pi
+    assert {x: tuple(map(type, v)) for x, v in mg.h.items()} \
+        == {x: tuple(map(type, v)) for x, v in full.h.items()}
+    assert mg._geometric == full.is_geometric()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_whitehead_results_are_valid_by_construction(g):
+    # whitehead trusts its results; each must still pass the full check
+    rng = random.Random(100 + g)
+    for _ in range(3):
+        for mv in random_walk(symplectic_graph(g), 10, rng).moves:
+            assert mv.result.pi is not None
+            assert_equals_full_construction(mv.result)
+
+
+def test_whitehead_results_normalize_fraction_markings():
+    # a Fraction marking with no pi: the sum that marks f can be integral,
+    # and must then be stored as an int
+    mg = symplectic_graph(2).apply_basis_change(
+        [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(1, 2)]])
+    assert mg.pi is None and mg._geometric is False
+    integral_sums = 0
+    for mv in random_walk(mg, 40, random.Random(7)).moves:
+        fa, fd = mv.source.h[mv.a], mv.source.h[mv.d]
+        integral_sums += any(
+            type(x) is Fraction and type(y) is Fraction
+            and (x + y).denominator == 1 for x, y in zip(fa, fd))
+        assert_equals_full_construction(mv.result)
+    assert integral_sums
+
+
 def test_apply_path_records_and_reports():
     rng = random.Random(5)
     mg = symplectic_graph(1)
@@ -493,6 +541,11 @@ def test_move_paths_must_chain():
     chained = MovePath(mg, (m1, whitehead(m1.result, e2)))
     assert chained.final is chained.moves[1].result
     assert MovePath(mg, ()).final is mg
+
+
+def test_move_paths_take_only_moves():
+    with pytest.raises(ValueError, match="step 0 is 3, not a WhiteheadMove"):
+        MovePath(symplectic_graph(2), (3,))
 
 
 def test_identity_path_verifies_identity_endomorphism():
@@ -669,3 +722,10 @@ def test_spine_edges_cut_off_subchains():
 def test_symplectic_graph_rejects_bad_genus():
     with pytest.raises(ValueError):
         symplectic_graph(0)
+
+
+@pytest.mark.parametrize("genus", [2.5, "2"])
+def test_symplectic_graph_rejects_a_non_int_genus(genus):
+    with pytest.raises(ValueError, match="genus must be a positive int, "
+                                         f"got {genus!r}"):
+        symplectic_graph(genus)
