@@ -53,10 +53,11 @@ def _check_letters(genus: int, letters: Iterable[int]) -> None:
 
 def _zero_comps(genus: int, max_degree: int) -> list[dict[int, int]]:
     """Fresh empty components of a tensor of this shape."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    for name, x in (("genus", genus), ("max_degree", max_degree)):
+        if type(x) is not int:
+            raise ValueError(f"{name} must be an int, got {x!r}")
+        if x < 1:
+            raise ValueError(f"{name} must be >= 1")
     return [{} for _ in range(max_degree + 1)]
 
 

@@ -77,6 +77,8 @@ class Lambda3:
     def __init__(self, genus: int,
                  coeffs: Mapping[tuple[int, int, int], Fraction | int]
                  | None = None):
+        if type(genus) is not int:
+            raise ValueError(f"genus must be an int, got {genus!r}")
         if genus < 1:
             raise ValueError("genus must be >= 1")
         self.genus = genus

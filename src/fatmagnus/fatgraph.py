@@ -85,6 +85,13 @@ class Fatgraph:
     vertices: cyclic tuples of half-edge ids; edges: map edge id -> (half,
     half), where the canonical orientation of an edge points at its second
     half; tail: the half at the univalent vertex.
+
+    The constructor admits valence exactly 1 at the tail's vertex and
+    exactly 3 at every other vertex.  So no edge is a loop: a loop
+    a = (a0, a1) at a trivalent vertex has one half follow the other,
+    say next(a0) = a1, and then succ(a1) = next(a0) = a1 closes a
+    second boundary cycle.  And the genus is at least 1: a tree would
+    need a second univalent vertex.
     """
 
     def __init__(self, vertices: Iterable[Sequence[int]],
@@ -130,23 +137,18 @@ class Fatgraph:
             raise ValueError(f"tail {tail!r} is not a half-edge of the graph")
         for vi, v in enumerate(self.vertices):
             want = 1 if vi == self.vertex_of[tail] else 3
-            if len(v) == 1 and vi != self.vertex_of[tail]:
+            if len(v) == 1 < want:
                 raise ValueError(
                     f"univalent vertex {vi} {v} away from the tail {tail}")
-            if len(v) < want or (want == 1 and len(v) != 1):
+            if len(v) != want:
                 raise ValueError(
                     f"vertex {vi} {v} has valence {len(v)}, expected {want}")
 
         self._cycle = self._trace_boundary()
         self._pos = {h: i for i, h in enumerate(self._cycle)}
 
-        v_count, e_count = len(self.vertices), len(self.edges)
-        twice = 1 + e_count - v_count
-        if twice <= 0 or twice % 2:
-            raise ValueError(
-                f"V={v_count}, E={e_count} is not a once-bordered surface "
-                "with positive genus")
-        self._genus = twice // 2
+        # the trace found one boundary cycle, so V - E + 1 = 2 - 2g exactly
+        self._genus = (1 + len(self.edges) - len(self.vertices)) // 2
 
     def succ(self, h: int) -> int:
         """Boundary-cycle successor of the oriented edge with head h."""
@@ -183,11 +185,6 @@ class Fatgraph:
         """The canonical orientation of an edge: head = its second half."""
         return self.edges[edge_id][1]
 
-    def is_trivalent(self) -> bool:
-        tail_v = self.vertex_of[self.tail]
-        return all(len(v) == 3 for i, v in enumerate(self.vertices)
-                   if i != tail_v)
-
     def skew_pair(self, a: int, b: int) -> int:
         """Linking pattern of two oriented edges along the boundary."""
         if self.edge_of[a] == self.edge_of[b]:
@@ -223,16 +220,10 @@ class Fatgraph:
         return tuple(self._pos[self.pair_[h]] for h in self._cycle)
 
     def movable_edges(self) -> list[int]:
-        out = []
-        for e, (a, b) in self.edges.items():
-            if self.vertex_of[a] == self.vertex_of[b]:
-                continue
-            if len(self.vertices[self.vertex_of[a]]) != 3:
-                continue
-            if len(self.vertices[self.vertex_of[b]]) != 3:
-                continue
-            out.append(e)
-        return sorted(out)
+        """Every edge but the tail's: the rest join two distinct trivalent
+        vertices, since the constructor admits no loop and no other
+        valence."""
+        return sorted(set(self.edges) - {self.edge_of[self.tail]})
 
 
 def rooted_isomorphism(g1: Fatgraph, g2: Fatgraph) -> Optional[dict[int, int]]:
@@ -477,6 +468,8 @@ class WhiteheadMove:
 def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     """Collapse edge edge_id and re-expand it the other way.
 
+    Raises ValueError on a non-int edge id, an unknown edge or the tail
+    edge; every other edge joins two trivalent vertices (see Fatgraph).
     The result is valid by construction from the validated source, so it
     is not validated again.  The move keeps the half-edge set and the
     tail edge with its markings; the new edge f takes e's half-edges,
@@ -499,10 +492,6 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     if G.edge_of[G.tail] == edge_id:
         raise ValueError(f"cannot move on the tail edge {edge_id}")
     v1, v2 = G.vertex_of[e1], G.vertex_of[e0]
-    if v1 == v2:
-        raise ValueError(f"edge {edge_id} is a loop")
-    if len(G.vertices[v1]) != 3 or len(G.vertices[v2]) != 3:
-        raise ValueError(f"edge {edge_id} does not join trivalent vertices")
 
     # labels follow the vertex-relation reading direction, which is the
     # reverse of the stored cyclic order

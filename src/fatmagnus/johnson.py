@@ -39,6 +39,8 @@ SECTOR_LABELS = ("I", "II", "III", "IV")
 
 
 def _check_degree(m: int) -> None:
+    if type(m) is not int:
+        raise ValueError(f"degree must be an int, got {m!r}")
     if m < 1:
         raise ValueError("degree must be >= 1")
 
@@ -301,9 +303,10 @@ def move_ia(move: WhiteheadMove, m: int) -> IAMap:
     homology tensor with the labels a, b, c against Hausdorff tails of
     the surrounding series, all degrees at once, which the vertex
     relations reduce to one star.  It is the move automorphism only on a
-    geometric marking, which is not checked here.
+    geometric marking: raises ValueError on any other.
     """
     _check_degree(m)
+    move.source.check_geometric()
     ell = get_table(move.source, m + 1).ell_map
     head = -star(ell[move.d], ell[move.a])
     return IAMap(_move_map(move, ell, head))
@@ -311,7 +314,8 @@ def move_ia(move: WhiteheadMove, m: int) -> IAMap:
 
 def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
     """All graded pieces of the move automorphism through degree m: the
-    graded view of move_ia, so valid on geometric markings only."""
+    graded view of move_ia, so it raises ValueError on a non-geometric
+    marking."""
     return MoveTau(move, ia_graded(move_ia(move, m)))
 
 

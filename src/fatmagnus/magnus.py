@@ -71,18 +71,14 @@ class MagnusTable:
     a fixed degree; theta = exp(ell) is computed on each read.
 
     The table holds its marked graph weakly, since the graph keeps its
-    tables (see get_table), and its Fatgraph strongly.
+    tables (see get_table), and its Fatgraph strongly.  It checks
+    nothing of the graph: every Fatgraph is trivalent by construction.
     """
 
     def __init__(self, mg: MarkedFatgraph,
                  max_degree: int = DEFAULT_MAX_DEGREE):
         G = mg.graph
         tail_v = G.vertex_of[G.tail]
-        for i, v in enumerate(G.vertices):
-            if i != tail_v and len(v) != 3:
-                raise ValueError(f"Magnus expansion needs a trivalent "
-                                 f"fatgraph: vertex {i} {v} has valence "
-                                 f"{len(v)}")
         self._mg = weakref.ref(mg)
         self.graph = G
         self.max_degree = max_degree

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from fatmagnus.algebra import IAMap, TruncatedTensor
 from fatmagnus.fatgraph import (
-    Fatgraph,
-    MarkedFatgraph,
     MovePath,
-    solve_vertex_word,
     symplectic_graph,
-    w_abelianize,
-    w_inv,
     whitehead,
 )
 
@@ -53,23 +48,6 @@ def ia_maps(draw, genus=1, max_degree=4):
     corr = [draw(tensors(genus, max_degree, min_degree=2, max_terms=2))
             for _ in range(2 * genus)]
     return IAMap(corr)
-
-
-def figure_eight():
-    """Genus-1 graph with a single 5-valent vertex carrying two loops.
-
-    Valid and marked, but not trivalent; exercises rejection paths.
-    """
-    t0, t1, a0, a1, b0, b1 = range(6)
-    edges = {0: (t0, t1), 1: (a0, a1), 2: (b0, b1)}
-    verts = [(t0,), (t1, a1, b1, a0, b0)]
-    G = Fatgraph(verts, edges, tail=t0)
-    pi = {a0: (1,), a1: (-1,), b0: (2,), b1: (-2,)}
-    known = {h: pi[h] for h in verts[1] if h != t1}
-    pi[t1] = solve_vertex_word(verts[1], known, t1)
-    pi[t0] = w_inv(pi[t1])
-    h = {x: w_abelianize(w, 2) for x, w in pi.items()}
-    return MarkedFatgraph(G, h, pi)
 
 
 def random_walk(mg, steps, rng):

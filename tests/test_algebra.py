@@ -76,6 +76,16 @@ def test_letter_index_rejects_names_letter_name_never_prints(name):
         letter_index(3, name)
 
 
+@pytest.mark.parametrize("genus, max_degree, what", [
+    (1.5, 2, "genus must be an int, got 1.5"),
+    (True, 2, "genus must be an int, got True"),
+    (1, 2.0, "max_degree must be an int, got 2.0"),
+], ids=["float-genus", "bool-genus", "float-degree"])
+def test_tensor_shape_must_be_ints(genus, max_degree, what):
+    with pytest.raises(ValueError, match=what):
+        TruncatedTensor(genus, max_degree)
+
+
 def test_product_truncates():
     u, v = letters(1, 2)
     one = TruncatedTensor.unit(1, 2)

@@ -91,6 +91,8 @@ def test_wedge_rejects_non_integer_letter_indices():
 
 
 def test_wedge_validation_and_display():
+    with pytest.raises(ValueError, match="genus must be an int, got 1.5"):
+        Lambda3(1.5, {(0, 1, 2): 1})
     with pytest.raises(ValueError, match="out of range"):
         Lambda3(1, {(0, 1, 2): 1})
     with pytest.raises(ValueError, match=r"\(0, 1, 2\) for genus 1"):

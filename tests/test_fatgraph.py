@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
-    figure_eight,
     random_symplectic_matrix,
     random_walk,
     reference_rooted_isomorphism,
@@ -101,6 +100,27 @@ def test_rejects_low_valence():
     with pytest.raises(ValueError, match=r"vertex 1 \(1, 2\) has valence 2"):
         Fatgraph([(0,), (1, 2), (3, 4, 5)],
                  {0: (0, 1), 1: (2, 3), 2: (4, 5)}, tail=0)
+
+
+def test_trivalence_error_names_the_vertex_and_its_valence():
+    # the figure-eight: one 5-valent vertex carrying two loops
+    t0, t1, a0, a1, b0, b1 = range(6)
+    with pytest.raises(ValueError, match=r"vertex 1 \(1, 3, 5, 2, 4\) "
+                                         r"has valence 5, expected 3"):
+        Fatgraph([(t0,), (t1, a1, b1, a0, b0)],
+                 {0: (t0, t1), 1: (a0, a1), 2: (b0, b1)}, tail=t0)
+    # two handle edges from a 4-valent vertex to a trivalent one
+    t0, t1, u0, u1, v0, v1, s0, s1 = range(8)
+    with pytest.raises(ValueError, match=r"vertex 1 \(1, 2, 4, 6\) "
+                                         r"has valence 4, expected 3"):
+        Fatgraph([(t0,), (t1, u0, v0, s0), (u1, v1, s1)],
+                 {0: (t0, t1), 1: (u0, u1), 2: (v0, v1), 3: (s0, s1)},
+                 tail=t0)
+    # the tail's vertex must be univalent
+    with pytest.raises(ValueError, match=r"vertex 0 \(0, 5\) has valence "
+                                         r"2, expected 1"):
+        Fatgraph([(0, 5), (1, 2, 3), (4, 6, 7)],
+                 {0: (0, 1), 1: (2, 4), 2: (3, 6), 3: (5, 7)}, tail=0)
 
 
 def test_rejects_second_univalent_vertex():
@@ -198,7 +218,7 @@ def test_genus_and_size():
         assert G.genus() == g
         assert len(G.vertices) == 4 * g
         assert len(G.edges) == 6 * g - 1
-        assert G.is_trivalent()
+        assert sorted(map(len, G.vertices)) == [1] + [3] * (4 * g - 1)
 
 
 def test_movable_edges_excludes_tail():
@@ -207,6 +227,20 @@ def test_movable_edges_excludes_tail():
     movable = mg.graph.movable_edges()
     assert names["t"] not in movable
     assert set(movable) == set(mg.graph.edges) - {names["t"]}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_walk_graphs_have_no_loops_and_move_on_every_non_tail_edge(g):
+    path = random_walk(symplectic_graph(g), 12, random.Random(30 + g))
+    for G in [path.initial.graph] + [mv.result.graph for mv in path.moves]:
+        ends = {e: (G.vertex_of[a], G.vertex_of[b])
+                for e, (a, b) in G.edges.items()}
+        assert all(v != w for v, w in ends.values())
+        # the filter movable_edges once applied: both ends trivalent
+        joined = sorted(e for e, (v, w) in ends.items()
+                        if len(G.vertices[v]) == len(G.vertices[w]) == 3)
+        assert G.movable_edges() == joined
+        assert joined == sorted(set(G.edges) - {G.edge_of[G.tail]})
 
 
 # -- markings --------------------------------------------------------------
@@ -347,40 +381,20 @@ def test_integral_markings_are_stored_as_ints():
     assert {x: tuple(2 * c for c in v) for x, v in half.h.items()} == mg.h
 
 
-# -- special graphs away from the main family ------------------------------
+# -- Whitehead move input checks ------------------------------------------
 
 
-def test_figure_eight_is_valid_but_not_trivalent():
-    mg = figure_eight()
-    assert mg.genus() == 1
-    assert not mg.graph.is_trivalent()
-    assert mg.pi[1] == boundary_word(1)
-
-
-def test_whitehead_rejects_tail_loop_and_high_valence():
-    mg = figure_eight()
-    with pytest.raises(ValueError, match="tail"):
-        whitehead(mg, 0)
-    with pytest.raises(ValueError, match="tail edge 0"):
-        whitehead(mg, 0)
-    with pytest.raises(ValueError, match="loop"):
-        whitehead(mg, 1)
-
-    t0, t1, u0, u1, v0, v1, s0, s1 = range(8)
-    edges = {0: (t0, t1), 1: (u0, u1), 2: (v0, v1), 3: (s0, s1)}
-    verts = [(t0,), (t1, u0, v0, s0), (u1, v1, s1)]
-    G = Fatgraph(verts, edges, tail=t0)
-    pi = {u1: (1,), u0: (-1,), v1: (2,), v0: (-2,)}
-    pi[s1] = solve_vertex_word(verts[2], pi, s1)
-    pi[s0] = w_inv(pi[s1])
-    pi[t1] = solve_vertex_word(verts[1], pi, t1)
-    pi[t0] = w_inv(pi[t1])
-    h = {x: w_abelianize(w, 2) for x, w in pi.items()}
-    mg2 = MarkedFatgraph(G, h, pi)
-    with pytest.raises(ValueError, match="trivalent"):
-        whitehead(mg2, 1)
-    with pytest.raises(ValueError, match="no edge"):
-        whitehead(mg2, 99)
+def test_whitehead_rejects_the_tail_edge_and_an_unknown_edge():
+    mg = symplectic_graph(2)
+    tail_edge = mg.edge_names["t"]
+    with pytest.raises(ValueError, match=f"cannot move on the tail edge "
+                                         f"{tail_edge}$"):
+        whitehead(mg, tail_edge)
+    with pytest.raises(ValueError, match="no edge 99"):
+        whitehead(mg, 99)
+    # apply_path names the step that failed
+    with pytest.raises(ValueError, match=r"step 1 \(edge 99\): no edge 99"):
+        apply_path(mg, [mg.graph.movable_edges()[0], 99])
 
 
 @pytest.mark.parametrize("as_other_type", [float, bool])
@@ -610,9 +624,9 @@ def isomorphism_pool():
     """Genus 1-3 graphs along fixed-seed walks, each step with its
     move-then-undo graph and, where two movable edges share no vertex,
     both corners of their commuting square; plus a relabelled copy of
-    each walk's end and the figure-eight."""
+    each walk's end."""
     rng = random.Random(17)
-    pool = [figure_eight().graph]
+    pool = []
     for g in (1, 2, 3):
         mg = symplectic_graph(g)
         for _ in range(8):

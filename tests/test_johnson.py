@@ -39,7 +39,7 @@ from fatmagnus.algebra import (
     star,
     symplectic_form,
 )
-from fatmagnus.cocycle import j2_path
+from fatmagnus.cocycle import bar_tau2, j2, j2_path
 from fatmagnus.fatgraph import (
     MovePath,
     apply_path,
@@ -140,6 +140,10 @@ def test_shape_and_degree_validation():
         tau_move(mv, 0)
     with pytest.raises(ValueError, match="degree must be >= 1"):
         sector_contributions(mv, -1)
+    with pytest.raises(ValueError, match="degree must be an int, got 2.0"):
+        tau_move(mv, 2.0)
+    with pytest.raises(ValueError, match="degree must be an int, got 2.5"):
+        tau_path(MovePath(mg, (mv,)), 2.5)
     zero = TruncatedTensor(1, 3)
     with pytest.raises(ValueError, match="degrees start at 1"):
         GradedTau(1, {0: (zero, zero)})
@@ -215,11 +219,11 @@ def test_structured_pairs_expose_the_dual_basis():
 @functools.lru_cache(maxsize=None)
 def reference_walks():
     """(genus, degree, moves): stretches of genus 1-3 walks, and of one
-    walk from a non-unimodular marking with Fraction entries, chosen so
-    that every genus above one sees nonzero degree-one values."""
-    half = [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-            [0, 0, 0, Fraction(1, 2)]]
-    mg = symplectic_graph(2).apply_basis_change(half)
+    walk from a geometric marking with Fraction entries, chosen so that
+    every genus above one sees nonzero degree-one values."""
+    third = [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(1, 3), 0],
+             [0, 0, 0, 1]]
+    mg = symplectic_graph(2).apply_basis_change(third)
     return (
         (1, 4, walk_moves(1, 4, seed=61)),
         (2, 4, walk_moves(2, 14, seed=64)[6:10]),
@@ -643,14 +647,17 @@ def test_empty_path_gives_the_identity():
 @pytest.mark.parametrize("last", [Fraction(1, 2), 1])
 def test_path_maps_reject_a_non_geometric_marking(last):
     # off geometric markings naturality fails: the closed formula
-    # disagrees with the solver on a move, so a path sum would be wrong
+    # disagrees with the solver on a move, so a move or path value
+    # would be wrong
     diag = [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, last]]
     start = symplectic_graph(2).apply_basis_change(diag)
     path = random_walk(start, 8, random.Random(7))
     mv = path.moves[0]
-    assert tau_move(mv, 2).tau != tau_move_oracle(mv, 2).tau
+    assert reference_tau_move(mv, 2).tau != tau_move_oracle(mv, 2).tau
     for run in (lambda: path_ia(path, 2), lambda: tau_path(path, 2),
-                lambda: j2_path(path)):
+                lambda: j2_path(path), lambda: move_ia(mv, 2),
+                lambda: tau_move(mv, 2), lambda: bar_tau2(mv),
+                lambda: j2(mv)):
         with pytest.raises(ValueError, match=r"not geometric: half-edges "
                                              r"\d+ and \d+ link"):
             run()

@@ -14,7 +14,6 @@ import pytest
 
 from helpers import (
     ReferenceMagnusTable,
-    figure_eight,
     random_walk,
     reference_lie_pretty,
 )
@@ -348,6 +347,14 @@ def test_table_readers_name_a_half_edge_not_in_the_graph():
             read(999)
 
 
+def test_get_table_rejects_a_non_int_degree():
+    mg = symplectic_graph(1)
+    with pytest.raises(ValueError, match="max_degree must be an int, "
+                                         "got 2.5"):
+        get_table(mg, 2.5)
+    assert mg.magnus_tables == {}
+
+
 def test_tail_P_is_minus_six_omega():
     for g in (1, 2, 3):
         mg = symplectic_graph(g)
@@ -452,19 +459,3 @@ def test_lie_pretty_of_table_values_equals_the_greedy_reference(g):
         for eid in mg.graph.edges:
             x = table.ell(mg.graph.oriented(eid))
             assert lie_pretty(x) == reference_lie_pretty(x)
-
-
-def test_table_requires_trivalent_graph():
-    with pytest.raises(ValueError, match="trivalent"):
-        MagnusTable(figure_eight(), N)
-    with pytest.raises(ValueError, match="trivalent"):
-        get_table(figure_eight(), N)
-
-
-def test_trivalence_error_names_the_vertex_and_its_valence():
-    mg = figure_eight()
-    v = mg.graph.vertices[1]
-    with pytest.raises(ValueError,
-                       match=rf"vertex 1 \({', '.join(map(str, v))}\) "
-                             rf"has valence 5"):
-        MagnusTable(mg, N)
