@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from fatmagnus.algebra import IAMap, TruncatedTensor
 from fatmagnus.fatgraph import (
     MovePath,
+    solve_vertex_word,
     symplectic_graph,
+    w_inv,
     whitehead,
 )
 
@@ -48,6 +50,22 @@ def ia_maps(draw, genus=1, max_degree=4):
     corr = [draw(tensors(genus, max_degree, min_degree=2, max_terms=2))
             for _ in range(2 * genus)]
     return IAMap(corr)
+
+
+def figure_eight():
+    """Genus-1 graph data with a single 5-valent vertex carrying two loops.
+
+    Returns (vertices, edges, tail, pi): well-formed but not trivalent, so
+    Fatgraph rejects it; pi solves the vertex relation around vertex 1.
+    """
+    t0, t1, a0, a1, b0, b1 = range(6)
+    edges = {0: (t0, t1), 1: (a0, a1), 2: (b0, b1)}
+    verts = [(t0,), (t1, a1, b1, a0, b0)]
+    pi = {a0: (1,), a1: (-1,), b0: (2,), b1: (-2,)}
+    known = {h: pi[h] for h in verts[1] if h != t1}
+    pi[t1] = solve_vertex_word(verts[1], known, t1)
+    pi[t0] = w_inv(pi[t1])
+    return verts, edges, t0, pi
 
 
 def random_walk(mg, steps, rng):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    figure_eight,
     random_symplectic_matrix,
     random_walk,
     reference_rooted_isomorphism,
@@ -102,13 +103,22 @@ def test_rejects_low_valence():
                  {0: (0, 1), 1: (2, 3), 2: (4, 5)}, tail=0)
 
 
-def test_trivalence_error_names_the_vertex_and_its_valence():
-    # the figure-eight: one 5-valent vertex carrying two loops
-    t0, t1, a0, a1, b0, b1 = range(6)
+def test_figure_eight_is_valid_but_not_trivalent():
+    verts, edges, tail, pi = figure_eight()
+    # every half-edge is paired once and the marking closes around the
+    # 5-valent vertex with the genus-1 boundary word ...
+    halves = sorted(h for v in verts for h in v)
+    assert halves == sorted(h for pair in edges.values() for h in pair)
+    assert len(set(halves)) == len(halves)
+    assert pi[1] == boundary_word(1)
+    assert 1 + len(edges) - len(verts) == 2 * 1
+    # ... so valence is the one thing the constructor rejects
     with pytest.raises(ValueError, match=r"vertex 1 \(1, 3, 5, 2, 4\) "
                                          r"has valence 5, expected 3"):
-        Fatgraph([(t0,), (t1, a1, b1, a0, b0)],
-                 {0: (t0, t1), 1: (a0, a1), 2: (b0, b1)}, tail=t0)
+        Fatgraph(verts, edges, tail=tail)
+
+
+def test_trivalence_error_names_the_vertex_and_its_valence():
     # two handle edges from a 4-valent vertex to a trivalent one
     t0, t1, u0, u1, v0, v1, s0, s1 = range(8)
     with pytest.raises(ValueError, match=r"vertex 1 \(1, 2, 4, 6\) "

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     ReferenceMagnusTable,
+    figure_eight,
     random_walk,
     reference_lie_pretty,
 )
@@ -29,6 +30,7 @@ from fatmagnus.algebra import (
     symplectic_form,
 )
 from fatmagnus.fatgraph import (
+    Fatgraph,
     MarkedFatgraph,
     MovePath,
     symplectic_graph,
@@ -459,3 +461,26 @@ def test_lie_pretty_of_table_values_equals_the_greedy_reference(g):
         for eid in mg.graph.edges:
             x = table.ell(mg.graph.oriented(eid))
             assert lie_pretty(x) == reference_lie_pretty(x)
+
+
+def test_table_requires_trivalent_graph():
+    # a table is built over a MarkedFatgraph, whose Fatgraph is trivalent
+    # by construction: a non-trivalent graph never reaches MagnusTable
+    verts, edges, tail, _ = figure_eight()
+    with pytest.raises(ValueError, match="valence 5, expected 3"):
+        Fatgraph(verts, edges, tail=tail)
+    for g in (1, 2):
+        mg = symplectic_graph(g)
+        assert all(len(v) == 3 for v in mg.graph.vertices
+                   if mg.graph.tail not in v)
+        assert MagnusTable(mg, N).max_degree == N
+        assert get_table(mg, N) is get_table(mg, N)
+
+
+def test_trivalence_error_names_the_vertex_and_its_valence():
+    verts, edges, tail, _ = figure_eight()
+    v = verts[1]
+    with pytest.raises(ValueError,
+                       match=rf"vertex 1 \({', '.join(map(str, v))}\) "
+                             rf"has valence 5"):
+        Fatgraph(verts, edges, tail=tail)
