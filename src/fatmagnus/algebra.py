@@ -42,10 +42,17 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-DEFAULT_MAX_DEGREE = 5
+
+def _check_positive_int(name: str, x) -> None:
+    """The rule for a genus or a degree: an int (not a bool), at least 1."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    if x < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def _check_letters(genus: int, letters: Iterable[int]) -> None:
+    _check_positive_int("genus", genus)
     for c in letters:
         if not 0 <= c < 2 * genus:
             raise ValueError(f"letter {c} out of range for genus {genus}")
@@ -53,11 +60,8 @@ def _check_letters(genus: int, letters: Iterable[int]) -> None:
 
 def _zero_comps(genus: int, max_degree: int) -> list[dict[int, int]]:
     """Fresh empty components of a tensor of this shape."""
-    for name, x in (("genus", genus), ("max_degree", max_degree)):
-        if type(x) is not int:
-            raise ValueError(f"{name} must be an int, got {x!r}")
-        if x < 1:
-            raise ValueError(f"{name} must be >= 1")
+    _check_positive_int("genus", genus)
+    _check_positive_int("max_degree", max_degree)
     return [{} for _ in range(max_degree + 1)]
 
 
@@ -78,6 +82,7 @@ def letter_name(genus: int, letter: int) -> str:
 
 def letter_index(genus: int, name: str) -> int:
     """The index of a letter name as letter_name prints it: u1, ..., vg."""
+    _check_positive_int("genus", genus)
     kind, num = name[:1], name[1:]
     # ASCII decimal digits with no leading zero, so that only the names
     # letter_name prints are read back
@@ -160,7 +165,7 @@ class TruncatedTensor:
 
     __slots__ = ("genus", "nletters", "max_degree", "den", "comps")
 
-    def __init__(self, genus: int, max_degree: int = DEFAULT_MAX_DEGREE):
+    def __init__(self, genus: int, max_degree: int):
         self.comps = _zero_comps(genus, max_degree)
         self.genus, self.nletters = genus, 2 * genus
         self.max_degree, self.den = max_degree, 1
@@ -190,18 +195,18 @@ class TruncatedTensor:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def unit(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
+    def unit(cls, genus: int, max_degree: int) -> "TruncatedTensor":
         return cls.from_terms(genus, {(): 1}, max_degree)
 
     @classmethod
     def letter(cls, genus: int, letter: int,
-               max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
+               max_degree: int) -> "TruncatedTensor":
         return cls.from_terms(genus, {(letter,): 1}, max_degree)
 
     @classmethod
     def from_terms(cls, genus: int,
                    terms: Mapping[tuple[int, ...], Fraction | int],
-                   max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
+                   max_degree: int) -> "TruncatedTensor":
         """The sum of c * word over {word: c}, truncated above max_degree."""
         comps = _zero_comps(genus, max_degree)
         _check_letters(genus, {c for word in terms for c in word})
@@ -214,14 +219,8 @@ class TruncatedTensor:
         return cls._of(genus, max_degree, den, comps)
 
     @classmethod
-    def from_word(cls, genus: int, word: Sequence[int],
-                  coeff: Fraction | int = 1,
-                  max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
-        return cls.from_terms(genus, {tuple(word): coeff}, max_degree)
-
-    @classmethod
     def from_vector(cls, genus: int, vec: Sequence[Fraction | int],
-                    max_degree: int = DEFAULT_MAX_DEGREE) -> "TruncatedTensor":
+                    max_degree: int) -> "TruncatedTensor":
         """Degree-1 element with the given coordinates in the letter basis."""
         if len(vec) != 2 * genus:
             raise ValueError("vector length must be 2*genus")
@@ -554,8 +553,9 @@ def row_reduce(rows: Sequence[Sequence[Fraction | int]]
     return rows, pivots
 
 
-def symplectic_form(genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
+def symplectic_form(genus: int, max_degree: int) -> TruncatedTensor:
     """omega = sum_i [u_i, v_i] as a degree-2 tensor."""
+    _check_positive_int("genus", genus)
     return TruncatedTensor.from_terms(
         genus, {w: s for i in range(genus)
                 for w, s in _right_normed((i, genus + i)).items()}, max_degree)
@@ -608,7 +608,7 @@ def apply_letter_map(t: TruncatedTensor,
 
 
 def matrix_letter_images(genus: int, matrix: Sequence[Sequence[int]],
-                         max_degree: int = DEFAULT_MAX_DEGREE) -> list[TruncatedTensor]:
+                         max_degree: int) -> list[TruncatedTensor]:
     """Images of the letters under a linear map given by rows = letter images."""
     if len(matrix) != 2 * genus or any(len(r) != 2 * genus for r in matrix):
         raise ValueError("matrix must be 2g x 2g")
@@ -618,6 +618,7 @@ def matrix_letter_images(genus: int, matrix: Sequence[Sequence[int]],
 def is_symplectic_matrix(genus: int,
                          matrix: Sequence[Sequence[int]]) -> bool:
     """Whether row-images preserve the pairing ``dot``."""
+    _check_positive_int("genus", genus)
     n = 2 * genus
     if len(matrix) != n or any(len(r) != n for r in matrix):
         return False
@@ -667,7 +668,7 @@ class IAMap:
         return self._corrections
 
     @classmethod
-    def identity(cls, genus: int, max_degree: int = DEFAULT_MAX_DEGREE) -> "IAMap":
+    def identity(cls, genus: int, max_degree: int) -> "IAMap":
         return cls([TruncatedTensor(genus, max_degree)] * (2 * genus))
 
     def __eq__(self, other: object) -> bool:

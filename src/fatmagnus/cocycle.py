@@ -25,6 +25,7 @@ from typing import Iterator, Mapping, Sequence
 from .algebra import (
     TruncatedTensor,
     _check_lie,
+    _check_positive_int,
     _right_normed,
     letter_name,
     lie_pretty,
@@ -38,7 +39,6 @@ __all__ = [
     "Lambda3",
     "H2Element",
     "J2Value",
-    "tensor_components",
     "wedge_components",
     "varpi",
     "symmetric_pair",
@@ -77,10 +77,7 @@ class Lambda3:
     def __init__(self, genus: int,
                  coeffs: Mapping[tuple[int, int, int], Fraction | int]
                  | None = None):
-        if type(genus) is not int:
-            raise ValueError(f"genus must be an int, got {genus!r}")
-        if genus < 1:
-            raise ValueError("genus must be >= 1")
+        _check_positive_int("genus", genus)
         self.genus = genus
         n = 2 * genus
         store: dict[tuple[int, int, int], Fraction] = {}
@@ -91,10 +88,6 @@ class Lambda3:
             key, sign = _sort_triple(i, j, k)
             store[key] = store.get(key, 0) + Fraction(c) * sign
         self.coeffs = {key: c for key, c in store.items() if c}
-
-    @classmethod
-    def zero(cls, genus: int) -> "Lambda3":
-        return cls(genus)
 
     @classmethod
     def wedge(cls, genus: int,
@@ -506,7 +499,7 @@ def j2_compose(x: J2Value, y: J2Value) -> J2Value:
 
 
 def j2_identity(genus: int) -> J2Value:
-    return J2Value(H2Element.zero(genus), Lambda3.zero(genus))
+    return J2Value(H2Element.zero(genus), Lambda3(genus))
 
 
 def j2_inverse(v: J2Value) -> J2Value:
@@ -523,6 +516,6 @@ def j2_path(path: MovePath) -> J2Value:
     Raises ValueError on a non-geometric marking.
     """
     g = path.initial.genus()
-    xi = sum((j1(mv) for mv in path.moves), Lambda3.zero(g))
+    xi = sum((j1(mv) for mv in path.moves), Lambda3(g))
     return J2Value(_bar_degree_two(path_ia(path, 2).corrections).scaled(72),
                    xi)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import dot, is_symplectic_matrix, row_reduce
+from .algebra import _check_positive_int, dot, is_symplectic_matrix, row_reduce
 
 Word = tuple[int, ...]
 
@@ -70,6 +70,7 @@ def w_endo(images: Sequence[Word], word: Sequence[int]) -> Word:
 
 def boundary_word(genus: int) -> Word:
     """The surface relator: the product of [u_i, v_i] over all handles."""
+    _check_positive_int("genus", genus)
     out: list[int] = []
     for i in range(1, genus + 1):
         out += [i, genus + i, -i, -(genus + i)]
@@ -150,19 +151,17 @@ class Fatgraph:
         # the trace found one boundary cycle, so V - E + 1 = 2 - 2g exactly
         self._genus = (1 + len(self.edges) - len(self.vertices)) // 2
 
-    def succ(self, h: int) -> int:
-        """Boundary-cycle successor of the oriented edge with head h."""
-        return self.next_[self.pair_[h]]
-
     def _trace_boundary(self) -> list[int]:
-        """The orbit of the tail under succ.  succ = next o pair is a
-        permutation that keeps to one component, so the orbit covers every
-        half-edge only on a connected, once-bordered graph."""
+        """The orbit of the tail under the boundary successor, succ = next
+        o pair.  It is a permutation that keeps to one component, so the
+        orbit covers every half-edge only on a connected, once-bordered
+        graph."""
+        nxt, pair = self.next_, self.pair_
         cycle = [self.tail]
-        h = self.succ(self.tail)
+        h = nxt[pair[self.tail]]
         while h != self.tail:
             cycle.append(h)
-            h = self.succ(h)
+            h = nxt[pair[h]]
         if len(cycle) != len(self.half_edges):
             raise ValueError(
                 f"{len(cycle)} of {len(self.half_edges)} oriented edges on "
@@ -177,9 +176,6 @@ class Fatgraph:
 
     def genus(self) -> int:
         return self._genus
-
-    def reverse(self, h: int) -> int:
-        return self.pair_[h]
 
     def oriented(self, edge_id: int) -> int:
         """The canonical orientation of an edge: head = its second half."""
@@ -285,7 +281,8 @@ class MarkedFatgraph:
     edge_names maps construction names to edge ids where a constructor
     gives them; magnus_tables holds the expansion tables built for this
     graph, by degree (see magnus.get_table).  is_geometric is set by the
-    constructors that can tell and computed once, on ask, otherwise.
+    constructors that can tell and computed once, on ask, otherwise;
+    whitehead asks it of its source and hands the answer on.
     """
 
     def __init__(self, graph: Fatgraph, h: Mapping[int, Sequence],
@@ -516,8 +513,8 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
         f_word = solve_vertex_word((e1, a, d), mg.pi, e1)
         pi2[e1] = f_word
         pi2[e0] = w_inv(f_word)
-    # a move keeps is_geometric either way
-    result = MarkedFatgraph._trusted(graph2, h2, pi2, mg._geometric)
+    # a move keeps is_geometric either way, so a walk decides it once
+    result = MarkedFatgraph._trusted(graph2, h2, pi2, mg.is_geometric())
     return WhiteheadMove(mg, result, edge_id, a, b, c, d, e1)
 
 

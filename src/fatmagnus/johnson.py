@@ -4,16 +4,16 @@ Each move induces an automorphism of the completed free Lie algebra that
 fixes degree one.  A closed Hausdorff-series formula reads its
 corrections off the source table alone; the vertex relations make the
 tails at the move's corners linear in the ell values and in one star,
-the new edge's value (_move_map).  move_ia wraps them as a substitution
-map, and tau_move is its graded view, linear maps from homology into Lie
-elements one degree higher.  Two oracles recover the same pieces: the
-BCH tails of all four corners (sector_contributions) and a solver that
-compares the two expansion tables.  A path's map (path_ia) is one sum in
+the new edge's value (_move_map).  A path's map (path_ia) is one sum in
 the initial frame: each move adds its corrections read off the initial
 table, changed only on the edges moved so far, and the sum becomes one
-IAMap; no map is applied or composed.  Every path value is a view of
-that one map: tau_path grades it, and cocycle.j2_path projects its
-degree-two part.
+IAMap; no map is applied or composed.  A move is a path of one move, so
+move_ia is path_ia on that path, and tau_move is its graded view, linear
+maps from homology into Lie elements one degree higher.  Every path
+value is a view of path_ia: tau_path grades it, and cocycle.j2_path
+projects its degree-two part.  Two oracles recover a move's pieces: the
+BCH tails of all four corners (sector_contributions) and a solver that
+compares the two expansion tables.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .algebra import (
     TruncatedTensor,
     _check_letters,
     _check_lie,
+    _check_positive_int,
     hausdorff_tail,
     letter_name,
     row_reduce,
@@ -36,13 +37,6 @@ from .fatgraph import MarkedFatgraph, MovePath, WhiteheadMove
 from .magnus import get_table
 
 SECTOR_LABELS = ("I", "II", "III", "IV")
-
-
-def _check_degree(m: int) -> None:
-    if type(m) is not int:
-        raise ValueError(f"degree must be an int, got {m!r}")
-    if m < 1:
-        raise ValueError("degree must be >= 1")
 
 
 # -- Poincare duality ------------------------------------------------------
@@ -185,11 +179,6 @@ class GradedTau:
         return TruncatedTensor.combination(
             self.genus, zip(vec, vals), vals[0].max_degree)
 
-    def pairs(self, k: int) -> list[tuple[tuple[int, ...], TruncatedTensor]]:
-        """Structured form of one degree: (dual basis vector, Lie series)."""
-        return [(dual_vector(self.genus, j), v)
-                for j, v in enumerate(self._degree(k))]
-
     def bracket_image(self, k: int) -> TruncatedTensor:
         """Bracket contraction of the degree-k piece (see bracket_map).
 
@@ -238,7 +227,7 @@ def derive(values: Sequence[TruncatedTensor],
     if len(values) != 2 * g:
         raise ValueError("need one value per letter")
     def mono(word):
-        return TruncatedTensor.from_word(g, word, max_degree=n)
+        return TruncatedTensor.from_terms(g, {word: 1}, n)
     return TruncatedTensor.combination(g, [
         (coeff, mono(word[:i]) * values[c] * mono(word[i + 1:]))
         for word, coeff in t.terms() for i, c in enumerate(word)], n)
@@ -265,7 +254,7 @@ def sector_contributions(move: WhiteheadMove, m: int
     oracle of the move maps, which read the same corners off the vertex
     relations (_move_map).
     """
-    _check_degree(m)
+    _check_positive_int("degree", m)
     ell = get_table(move.source, m + 1).ell_map
     out = {}
     for lab in SECTOR_LABELS:
@@ -278,9 +267,10 @@ def sector_contributions(move: WhiteheadMove, m: int
 
 def _move_map(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor],
               head: TruncatedTensor) -> tuple[TruncatedTensor, ...]:
-    """The corrections of move_ia, one per letter, read off the ell values
-    of a table of move.source and head = -star(ell(d), ell(a)), the value
-    of e_head in the result.  The vertex relations theta(a)theta(b) =
+    """The corrections a move adds, one per letter, read off the ell
+    values of a table of move.source (built, or pulled back to a path's
+    initial graph by _path_steps) and head = -star(ell(d), ell(a)), the
+    value of e_head in the result.  The vertex relations theta(a)theta(b) =
     theta(e)^-1 = (theta(c)theta(d))^-1 make the corner tails linear:
     3 I = ell(b) + ell(c) - head, 3 II = ell(e) - ell(c) - ell(d) and
     3 IV = -(ell(e) + ell(a) + ell(b))."""
@@ -297,19 +287,12 @@ def _move_map(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor],
 
 
 def move_ia(move: WhiteheadMove, m: int) -> IAMap:
-    """The move automorphism through degree m + 1, as a substitution map.
-
-    Built from the source table alone: three times the correction is the
-    homology tensor with the labels a, b, c against Hausdorff tails of
-    the surrounding series, all degrees at once, which the vertex
-    relations reduce to one star.  It is the move automorphism only on a
-    geometric marking: raises ValueError on any other.
+    """The move automorphism through degree m + 1, as a substitution map:
+    path_ia of the path of this one move, so read off the source table
+    alone (_move_map).  It is the move automorphism only on a geometric
+    marking: raises ValueError on any other.
     """
-    _check_degree(m)
-    move.source.check_geometric()
-    ell = get_table(move.source, m + 1).ell_map
-    head = -star(ell[move.d], ell[move.a])
-    return IAMap(_move_map(move, ell, head))
+    return path_ia(MovePath(move.source, (move,)), m)
 
 
 def tau_move(move: WhiteheadMove, m: int) -> MoveTau:
@@ -409,7 +392,7 @@ def ia_between(source: MarkedFatgraph, target: MarkedFatgraph,
     tables: both come from get_table, never from a table derived from
     move maps.
     """
-    _check_degree(m)
+    _check_positive_int("degree", m)
     if source.genus() != target.genus():
         raise ValueError("genus mismatch")
     n = m + 1
@@ -465,9 +448,8 @@ def _path_steps(path: MovePath, m: int) -> Iterator[tuple[
     initial graph by the map Psi of the moves before it.  Psi commutes
     with star and fixes L off the moved edges; the new edge closes its
     vertex, so the next table has L(e_head) = head = -star(L(d), L(a)),
-    the one star of the move."""
-    _check_degree(m)
-    path.initial.check_geometric()
+    the one star of the move.  path_ia checks the degree and the
+    marking."""
     ell = get_table(path.initial, m + 1).ell_map
     for mv in path.moves:
         head = -star(ell[mv.d], ell[mv.a])
@@ -487,8 +469,11 @@ def path_ia(path: MovePath, m: int) -> IAMap:
     and C^(k) is the move's formula (_move_map) read off its pulled-back
     table L (_path_steps).  The C^(k) are summed and wrapped in one IAMap,
     the identity on the empty path; no move's map is built on its own.
-    tau_path and cocycle.j2_path are views of this map.  Raises
-    ValueError on a non-geometric initial marking."""
+    tau_path and cocycle.j2_path are views of this map, and move_ia is it
+    on a one-move path.  Raises ValueError on a bad degree or a
+    non-geometric initial marking."""
+    _check_positive_int("degree", m)
+    path.initial.check_geometric()
     g, n = path.initial.genus(), m + 1
     steps = [_move_map(*step) for step in _path_steps(path, m)]
     return IAMap([TruncatedTensor.combination(

@@ -47,18 +47,11 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Optional, Sequence
 
-from .algebra import (
-    DEFAULT_MAX_DEGREE,
-    TruncatedTensor,
-    exp_t,
-    lie_pretty,
-    star,
-)
+from .algebra import TruncatedTensor, exp_t, lie_pretty, star
 from .fatgraph import MarkedFatgraph, WhiteheadMove
 
 
-def get_table(mg: MarkedFatgraph,
-              max_degree: int = DEFAULT_MAX_DEGREE) -> "MagnusTable":
+def get_table(mg: MarkedFatgraph, max_degree: int) -> "MagnusTable":
     """The table of mg through max_degree, built once and kept on mg."""
     per = mg.magnus_tables
     if max_degree not in per:
@@ -71,16 +64,15 @@ class MagnusTable:
     a fixed degree; theta = exp(ell) is computed on each read.
 
     The table holds its marked graph weakly, since the graph keeps its
-    tables (see get_table), and its Fatgraph strongly.  It checks
-    nothing of the graph: every Fatgraph is trivalent by construction.
+    tables (see get_table), and keeps nothing else of it: the build
+    reads the Fatgraph and drops it.  It checks nothing of the graph:
+    every Fatgraph is trivalent by construction.
     """
 
-    def __init__(self, mg: MarkedFatgraph,
-                 max_degree: int = DEFAULT_MAX_DEGREE):
+    def __init__(self, mg: MarkedFatgraph, max_degree: int):
         G = mg.graph
         tail_v = G.vertex_of[G.tail]
         self._mg = weakref.ref(mg)
-        self.graph = G
         self.max_degree = max_degree
         g = mg.genus()
         cycle = G.boundary_cycle()
@@ -115,7 +107,7 @@ class MagnusTable:
                              (-s, exps[z].graded(n))), n)
                      for i, (s, x, y, z) in forms.items()}
             inc = [close[G.vertex_of[y]] for y in cycle[1:]]
-            ell = self._arc_sums(cycle, arcs, inc, n, ell)
+            ell = self._arc_sums(cycle, pair, arcs, inc, n, ell)
         for h in arcs:
             ell[pair[h]] = -ell[h]
         self._ell = ell
@@ -151,19 +143,19 @@ class MagnusTable:
 
     # -- the arc sweep -----------------------------------------------------
 
-    def _arc_sums(self, cycle: list[int], arcs: set[int],
-                  inc: list[TruncatedTensor], n: int,
+    def _arc_sums(self, cycle: list[int], pair: dict[int, int],
+                  arcs: set[int], inc: list[TruncatedTensor], n: int,
                   base: dict[int, TruncatedTensor]
                   ) -> dict[int, TruncatedTensor]:
         """base[h] plus a third of inc[p] + ... + inc[q - 1] on each arc
         [p..q], where each increment is the degree-n part of a vertex
         product (the vertex relation), sign and all, in the table's shape.
-        Arc h starts where h sits on the cycle and ends at its reverse."""
+        Arc h starts where h sits on the cycle and ends at its reverse,
+        pair[h]."""
         N = self.max_degree
         den = lcm(*(t.den for t in inc))
         mult = [den // t.den for t in inc]
         den *= 3
-        pair = self.graph.pair_
         run: dict[int, int] = {}
         opened: dict[int, dict[int, int]] = {}
         out = {}
@@ -196,7 +188,7 @@ class MagnusTable:
 
 
 def ell_word(mg: MarkedFatgraph, halves: Sequence[int],
-             max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedTensor:
+             max_degree: int) -> TruncatedTensor:
     """Expansion of a word of oriented edges: the star product of values."""
     if not halves:
         raise ValueError("empty edge word")
@@ -208,7 +200,7 @@ def ell_word(mg: MarkedFatgraph, halves: Sequence[int],
 
 
 def check_relations(move: WhiteheadMove,
-                    max_degree: int = DEFAULT_MAX_DEGREE) -> Optional[str]:
+                    max_degree: int) -> Optional[str]:
     """Verify the local edge relations around a Whitehead move.
 
     They are read off ell_1, ell_2 and ell_3 of the source table itself:
@@ -243,8 +235,7 @@ def check_relations(move: WhiteheadMove,
     return None
 
 
-def dump_table(mg: MarkedFatgraph,
-               max_degree: int = DEFAULT_MAX_DEGREE) -> str:
+def dump_table(mg: MarkedFatgraph, max_degree: int) -> str:
     """Readable listing of the expansion of every edge, one per line."""
     table = get_table(mg, max_degree)
     by_id = {eid: name for name, eid in mg.edge_names.items()}

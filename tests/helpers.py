@@ -27,7 +27,7 @@ def tensors(draw, genus=1, max_degree=4, min_degree=0, max_terms=4):
         d = draw(st.integers(min_degree, max_degree))
         word = tuple(draw(st.lists(
             st.integers(0, 2 * genus - 1), min_size=d, max_size=d)))
-        t = t + TruncatedTensor.from_word(genus, word, draw(coeffs), max_degree)
+        t = t + TruncatedTensor.from_terms(genus, {word: draw(coeffs)}, max_degree)
     return t
 
 

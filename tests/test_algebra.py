@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatmagnus.algebra import (
-    DEFAULT_MAX_DEGREE,
     IAMap,
     TruncatedTensor,
     apply_letter_map,
@@ -26,6 +25,8 @@ from fatmagnus.algebra import (
     star,
     symplectic_form,
 )
+from fatmagnus.fatgraph import boundary_word
+from fatmagnus.johnson import dual_vector
 from helpers import (
     coeffs,
     ia_maps,
@@ -41,7 +42,7 @@ from helpers import (
 )
 
 
-def letters(genus, max_degree=DEFAULT_MAX_DEGREE):
+def letters(genus, max_degree):
     return [TruncatedTensor.letter(genus, i, max_degree)
             for i in range(2 * genus)]
 
@@ -84,6 +85,16 @@ def test_letter_index_rejects_names_letter_name_never_prints(name):
 def test_tensor_shape_must_be_ints(genus, max_degree, what):
     with pytest.raises(ValueError, match=what):
         TruncatedTensor(genus, max_degree)
+    if type(max_degree) is int:
+        # every genus-taking helper applies the tensor's genus rule
+        for call in (lambda: boundary_word(genus),
+                     lambda: symplectic_form(genus, max_degree),
+                     lambda: dual_vector(genus, 0),
+                     lambda: letter_name(genus, 0),
+                     lambda: letter_index(genus, "u1"),
+                     lambda: is_symplectic_matrix(genus, [[1, 0], [0, 1]])):
+            with pytest.raises(ValueError, match=what):
+                call()
 
 
 def test_product_truncates():
@@ -98,8 +109,8 @@ def test_product_truncates():
 
 
 def test_coefficient_and_terms():
-    t = TruncatedTensor.from_word(2, (0, 3), Fraction(5, 6)) \
-        + TruncatedTensor.from_word(2, (1,), -2)
+    t = TruncatedTensor.from_terms(2, {(0, 3): Fraction(5, 6)}, 5) \
+        + TruncatedTensor.from_terms(2, {(1,): -2}, 5)
     assert t.coefficient((0, 3)) == Fraction(5, 6)
     assert t.coefficient((3, 0)) == 0
     assert dict((w, c) for w, c in t.terms()) == {
@@ -124,8 +135,8 @@ def test_mul_graded_is_one_degree_of_the_product(ab):
 
 
 def test_mul_graded_rejects_a_shape_mismatch_as_mul_does():
-    u1 = TruncatedTensor.letter(1, 0)
-    for other in (TruncatedTensor.letter(2, 0), u1.truncated(3)):
+    u1 = TruncatedTensor.letter(1, 0, 5)
+    for other in (TruncatedTensor.letter(2, 0, 5), u1.truncated(3)):
         with pytest.raises(ValueError) as by_mul:
             u1 * other
         with pytest.raises(ValueError, match=re.escape(str(by_mul.value))):
@@ -167,9 +178,9 @@ def test_exp_of_negation_inverts(x):
 
 def test_exp_rejects_constant_term():
     with pytest.raises(ValueError):
-        exp_t(TruncatedTensor.unit(1))
+        exp_t(TruncatedTensor.unit(1, 5))
     with pytest.raises(ValueError):
-        log_t(TruncatedTensor.letter(1, 0))
+        log_t(TruncatedTensor.letter(1, 0, 5))
 
 
 @st.composite
@@ -202,8 +213,8 @@ def test_exp_log_star_equal_the_full_truncation_reference(xy):
 @pytest.mark.parametrize("const", [Fraction(2), Fraction(1, 2), Fraction(-1),
                                    Fraction(0)])
 def test_exp_and_log_reject_a_bad_constant_term(const):
-    x = TruncatedTensor.letter(2, 1, 4) + TruncatedTensor.from_word(
-        2, (0, 3), Fraction(1, 3), 4)
+    x = TruncatedTensor.letter(2, 1, 4) + TruncatedTensor.from_terms(
+        2, {(0, 3): Fraction(1, 3)}, 4)
     c = TruncatedTensor.unit(2, 4).scaled(const)
     if const:
         with pytest.raises(ValueError, match="exp needs zero constant term"):
@@ -213,7 +224,7 @@ def test_exp_and_log_reject_a_bad_constant_term(const):
 
 
 def test_hausdorff_low_degrees():
-    u, v = letters(1)
+    u, v = letters(1, 5)
     uv = u.bracket(v)
     h = hausdorff_tail(u, v)
     assert h.graded(1).is_zero()
@@ -254,12 +265,12 @@ def sum_parts(t, through):
 
 
 def test_is_lie_detects():
-    u, v = letters(1)
+    u, v = letters(1, 5)
     assert is_lie(u.bracket(v))
     assert is_lie(u.bracket(u.bracket(v)) + v)
     assert not is_lie(u * v)
-    assert not is_lie(TruncatedTensor.unit(1))
-    assert is_lie(TruncatedTensor(1))
+    assert not is_lie(TruncatedTensor.unit(1, 5))
+    assert is_lie(TruncatedTensor(1, 5))
 
 
 @st.composite
@@ -304,32 +315,32 @@ def test_words_with_out_of_range_letters_are_rejected(word, bad):
     # these once printed as u1, u1.v1 and v1 at genus 1 but stored a
     # packed key no in-range word has
     with pytest.raises(ValueError, match=rf"letter {bad} out of range for genus 1"):
-        TruncatedTensor.from_word(1, word)
+        TruncatedTensor.from_terms(1, {word: 1}, 5)
     with pytest.raises(ValueError, match=rf"letter {bad} out of range for genus 1"):
-        TruncatedTensor.from_terms(1, {(0,): 1, word: 2})
+        TruncatedTensor.from_terms(1, {(0,): 1, word: 2}, 5)
 
 
 @pytest.mark.parametrize("word, bad", [((0, 2), 2), ((-1,), -1)])
 def test_coefficient_rejects_out_of_range_letters(word, bad):
     # at genus 1 these once read 1 (the coefficient of v1.u1) and 0
-    t = TruncatedTensor.from_word(1, (1, 0))
+    t = TruncatedTensor.from_terms(1, {(1, 0): 1}, 5)
     with pytest.raises(ValueError, match=rf"letter {bad} out of range for genus 1"):
         t.coefficient(word)
     assert t.coefficient((1, 0)) == 1
 
 
 def test_lie_pretty_examples():
-    u, v = letters(1)
+    u, v = letters(1, 5)
     assert lie_pretty(u.bracket(v)) == "[u1,v1]"
     assert lie_pretty(u.bracket(v).scaled(Fraction(-1, 2))) == "-1/2 [u1,v1]"
-    assert lie_pretty(TruncatedTensor(1)) == "0"
+    assert lie_pretty(TruncatedTensor(1, 5)) == "0"
     # non-Lie input falls back to the word rendering
     assert "u1.v1" in lie_pretty(u * v)
 
 
 def test_pretty_prints_scalar_terms_bare():
-    one = TruncatedTensor.unit(1)
-    u, _ = letters(1)
+    one = TruncatedTensor.unit(1, 5)
+    u, _ = letters(1, 5)
     assert one.scaled(2).pretty() == "2"
     assert (one - u).pretty() == "1 - u1"
     assert (-one).pretty() == "-1"
@@ -406,7 +417,7 @@ def test_dot_antisymmetric(a, b):
 
 
 def test_symplectic_form_is_lie():
-    w = symplectic_form(2)
+    w = symplectic_form(2, 5)
     assert is_lie(w)
     assert w.coefficient((0, 2)) == 1
     assert w.coefficient((2, 0)) == -1
@@ -427,8 +438,8 @@ def test_symplectic_matrix_checks():
 
 
 def test_apply_letter_map_substitutes():
-    u, v = letters(1)
-    images = matrix_letter_images(1, [[1, 1], [0, 1]])
+    u, v = letters(1, 5)
+    images = matrix_letter_images(1, [[1, 1], [0, 1]], 5)
     t = apply_letter_map(u.bracket(v), images)
     # [u+v, v] = [u,v]
     assert t == u.bracket(v)
@@ -456,7 +467,7 @@ def substitutions(draw):
                               min_size=n, max_size=n)))
     t = (draw(tensors(g, n, max_terms=3))
          + TruncatedTensor.unit(g, n).scaled(draw(coeffs))
-         + TruncatedTensor.from_word(g, top, draw(coeffs), n))
+         + TruncatedTensor.from_terms(g, {top: draw(coeffs)}, n))
     zero = TruncatedTensor(g, n)
     corr = [draw(tensors(g, n, min_degree=2, max_terms=2))
             if n >= 2 and draw(st.booleans()) else zero
@@ -496,7 +507,7 @@ def test_substitution_equals_both_old_routines(args):
 ], ids=["constant_term", "genus", "max_degree"])
 def test_substitution_rejects_images_it_cannot_substitute(bad, message):
     images = [TruncatedTensor.letter(2, i, 3) for i in range(3)] + [bad]
-    t = TruncatedTensor.from_word(2, (3, 0), 1, 3)
+    t = TruncatedTensor.from_terms(2, {(3, 0): 1}, 3)
     with pytest.raises(ValueError, match=message):
         apply_letter_map(t, images)
 
@@ -548,10 +559,10 @@ def test_operations_leave_their_operands_unchanged(args):
 
 
 def test_ia_identity():
-    m = IAMap.identity(2)
-    t = TruncatedTensor.from_word(2, (0, 1, 2), Fraction(7, 3))
+    m = IAMap.identity(2, 5)
+    t = TruncatedTensor.from_terms(2, {(0, 1, 2): Fraction(7, 3)}, 5)
     assert m.apply(t) == t
-    assert m == IAMap([TruncatedTensor(2)] * 4)
+    assert m == IAMap([TruncatedTensor(2, 5)] * 4)
 
 
 def test_ia_corrections_cannot_be_reassigned():
@@ -579,32 +590,32 @@ def test_ia_corrections_cannot_be_rebound():
 def test_ia_rejects_low_degree_corrections():
     with pytest.raises(ValueError,
                        match="correction of u1 has a degree-1 term, below 2"):
-        IAMap([TruncatedTensor.letter(1, 0), TruncatedTensor(1)])
+        IAMap([TruncatedTensor.letter(1, 0, 5), TruncatedTensor(1, 5)])
     # the message names the letter whose correction is at fault
     with pytest.raises(ValueError, match="correction of v1 has genus 1 and "
                        "max_degree 3, not 1 and 5"):
-        IAMap([TruncatedTensor(1), TruncatedTensor(1, 3)])
+        IAMap([TruncatedTensor(1, 5), TruncatedTensor(1, 3)])
     # the shape is read off the first correction, so a mixed genus is named
     # at the first letter that differs from it
     with pytest.raises(ValueError, match="correction of v1 has genus 2 and "
                        "max_degree 5, not 1 and 5"):
-        IAMap([TruncatedTensor(1), TruncatedTensor(2)])
+        IAMap([TruncatedTensor(1, 5), TruncatedTensor(2, 5)])
     with pytest.raises(ValueError, match="correction of u2 has genus 2 and "
                        "max_degree 4, not 2 and 5"):
-        IAMap([TruncatedTensor(2), TruncatedTensor(2, 4),
-               TruncatedTensor(2), TruncatedTensor(2)])
-    for corrections in ([], [TruncatedTensor(2)] * 2):
+        IAMap([TruncatedTensor(2, 5), TruncatedTensor(2, 4),
+               TruncatedTensor(2, 5), TruncatedTensor(2, 5)])
+    for corrections in ([], [TruncatedTensor(2, 5)] * 2):
         with pytest.raises(ValueError, match="need one correction per letter"):
             IAMap(corrections)
     # shape errors name both shapes
-    m = IAMap.identity(1)
+    m = IAMap.identity(1, 5)
     with pytest.raises(ValueError, match="max_degree mismatch: genus 1, N 3 "
                        "vs genus 1, N 5"):
         m.apply(TruncatedTensor.letter(1, 0, 3))
     with pytest.raises(ValueError, match="genus mismatch: genus 2, N 5 vs "
                        "genus 1, N 5"):
-        m.compose(IAMap.identity(2))
-    u1, u2 = TruncatedTensor.letter(1, 0), TruncatedTensor.letter(2, 0)
+        m.compose(IAMap.identity(2, 5))
+    u1, u2 = TruncatedTensor.letter(1, 0, 5), TruncatedTensor.letter(2, 0, 5)
     for op in (u1.__add__, u1.__mul__, u1.bracket):
         with pytest.raises(ValueError, match="genus mismatch: genus 2, N 5 "
                            "vs genus 1, N 5"):
@@ -638,12 +649,12 @@ def test_ia_top_degree_words_pass_through():
     N = 3
     u, v = letters(1, N)
     m = IAMap([u.bracket(v).truncated(N), TruncatedTensor(1, N)])
-    w = TruncatedTensor.from_word(1, (0, 0, 1), 1, N)
+    w = TruncatedTensor.from_terms(1, {(0, 0, 1): 1}, N)
     assert m.apply(w) == w
     u1, u2, v1, v2 = letters(2, N)
     m = IAMap([u1.bracket(v2), v1 * v1, TruncatedTensor(2, N),
                u2.bracket(u1)])
-    w = TruncatedTensor.from_word(2, (3, 0, 1), Fraction(-5, 2), N)
+    w = TruncatedTensor.from_terms(2, {(3, 0, 1): Fraction(-5, 2)}, N)
     assert m.apply(w) == w
 
 

@@ -39,12 +39,17 @@ from fatmagnus.cocycle import (
     j2_path,
     morita_pair,
     symmetric_pair,
-    tensor_components,
     varpi,
     wedge_components,
 )
 from fatmagnus.fatgraph import MovePath, symplectic_graph, whitehead
-from fatmagnus.johnson import derive, tau_move, tau_path, tensor_values
+from fatmagnus.johnson import (
+    derive,
+    tau_move,
+    tau_path,
+    tensor_components,
+    tensor_values,
+)
 from fatmagnus.magnus import get_table
 
 
@@ -98,12 +103,12 @@ def test_wedge_validation_and_display():
     with pytest.raises(ValueError, match=r"\(0, 1, 2\) for genus 1"):
         Lambda3(1, {(0, 1, 2): 1})
     with pytest.raises(ValueError, match="genus mismatch"):
-        Lambda3.zero(1) + Lambda3.zero(2)
+        Lambda3(1) + Lambda3(2)
     with pytest.raises(ValueError, match="one entry per letter"):
         Lambda3.wedge(2, (1, 0), (0, 1), (0, 0))
     x = Lambda3(2, {(0, 2, 1): 2, (1, 2, 3): 1})
     assert str(x) == "-2 u1^u2^v1 + u2^v1^v2"
-    assert str(Lambda3.zero(2)) == "0"
+    assert str(Lambda3(2)) == "0"
 
 
 # -- the one-sided pairing -------------------------------------------------
@@ -127,12 +132,12 @@ def test_varpi_of_zero_and_validation():
     with pytest.raises(ValueError, match="not pure of degree 2"):
         varpi(letter(g, 0), br)
     with pytest.raises(ValueError, match="not a Lie|Lie element"):
-        varpi(TruncatedTensor.from_word(g, (0, 1), max_degree=3), br)
+        varpi(TruncatedTensor.from_terms(g, {(0, 1): 1}, 3), br)
     # the message says which argument is at fault
     with pytest.raises(ValueError, match="second argument is not pure"):
         varpi(br, letter(g, 0))
     with pytest.raises(ValueError, match="first argument is not a Lie"):
-        symmetric_pair(TruncatedTensor.from_word(g, (0, 1), max_degree=3), br)
+        symmetric_pair(TruncatedTensor.from_terms(g, {(0, 1): 1}, 3), br)
     with pytest.raises(ValueError, match="genus mismatch"):
         varpi(br, TruncatedTensor.letter(1, 0, 3).bracket(
             TruncatedTensor.letter(1, 1, 3)))
@@ -226,7 +231,7 @@ def test_target_space_validation():
         H2Element([z])
     with pytest.raises(ValueError, match="not pure"):
         H2Element([letter(g, 0), z])
-    xy = TruncatedTensor.from_word(g, (0, 1, 1), max_degree=3)
+    xy = TruncatedTensor.from_terms(g, {(0, 1, 1): 1}, 3)
     with pytest.raises(ValueError, match="Lie element"):
         H2Element([xy, z])
     # the messages name the letter slot at fault
@@ -658,7 +663,7 @@ def test_integral_values_on_integral_markings():
 
 def test_j2_value_validation():
     with pytest.raises(ValueError, match="genus mismatch"):
-        J2Value(H2Element.zero(1), Lambda3.zero(2))
+        J2Value(H2Element.zero(1), Lambda3(2))
 
 
 # -- displays --------------------------------------------------------------

@@ -188,25 +188,25 @@ def test_boundary_cycle_visits_every_oriented_edge_once(g):
     assert len(cycle) == len(G.half_edges) == 2 * len(G.edges)
     assert len(set(cycle)) == len(cycle)
     assert cycle[0] == G.tail
-    assert cycle[-1] == G.reverse(G.tail)
+    assert cycle[-1] == G.pair_[G.tail]
 
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_edge_paths_partition_orientations(g):
     G = symplectic_graph(g).graph
     assert G.edge_path_to_reverse(G.tail) == G.boundary_cycle()
-    assert G.edge_path_to_reverse(G.reverse(G.tail)) is None
+    assert G.edge_path_to_reverse(G.pair_[G.tail]) is None
     for h in G.half_edges:
         if G.edge_of[h] == G.edge_of[G.tail]:
             continue
         path = G.edge_path_to_reverse(h)
-        rev = G.edge_path_to_reverse(G.reverse(h))
+        rev = G.edge_path_to_reverse(G.pair_[h])
         # exactly one orientation of every other edge carries a path,
         # and that path stays clear of the tail
         assert (path is None) != (rev is None)
         got = path if path is not None else rev
-        assert got[0] in (h, G.reverse(h))
-        assert got[-1] == G.reverse(got[0])
+        assert got[0] in (h, G.pair_[h])
+        assert got[-1] == G.pair_[got[0]]
         assert G.tail not in got
 
 
@@ -292,8 +292,8 @@ def test_marking_validation_names_out_of_range_generators():
     mg = symplectic_graph(1)
     x = next(h for h in mg.graph.half_edges if mg.pi[h] == (1,))
     pi = dict(mg.pi)
-    pi[x], pi[mg.graph.reverse(x)] = (7,), (-7,)
-    named = f"half-edge ({x}|{mg.graph.reverse(x)}) uses generator 7"
+    pi[x], pi[mg.graph.pair_[x]] = (7,), (-7,)
+    named = f"half-edge ({x}|{mg.graph.pair_[x]}) uses generator 7"
     with pytest.raises(ValueError, match=named):
         MarkedFatgraph(mg.graph, mg.h, pi)
 
@@ -353,7 +353,7 @@ def test_markings_are_read_only():
 def test_symplectic_graph_is_geometric(g):
     mg = symplectic_graph(g)
     assert mg.is_geometric()
-    tbar = mg.graph.reverse(mg.graph.tail)
+    tbar = mg.graph.pair_[mg.graph.tail]
     assert mg.pi[tbar] == boundary_word(g)
 
 
@@ -437,7 +437,7 @@ def test_move_labels_sit_at_the_right_vertices():
         mv = whitehead(mg, eid)
         G = mg.graph
         e1 = mv.e_head
-        e0 = G.reverse(e1)
+        e0 = G.pair_[e1]
         assert {G.vertex_of[x] for x in (mv.a, mv.b)} == {G.vertex_of[e1]}
         assert {G.vertex_of[x] for x in (mv.c, mv.d)} == {G.vertex_of[e0]}
         # the new edge balances against a and d at its head vertex
@@ -733,7 +733,7 @@ def test_spine_edges_cut_off_subchains():
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-                    far = G.reverse(nb)
+                    far = G.pair_[nb]
                     if nb != head and far not in seen:
                         seen.add(far)
                         stack.append(far)

@@ -9,6 +9,7 @@ independent transcriptions, checked as regressions against both.
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from fatmagnus.algebra import (
 )
 from fatmagnus.cocycle import bar_tau2, j2, j2_path
 from fatmagnus.fatgraph import (
+    MarkedFatgraph,
     MovePath,
     apply_path,
     markings_equal,
@@ -144,6 +146,15 @@ def test_shape_and_degree_validation():
         tau_move(mv, 2.0)
     with pytest.raises(ValueError, match="degree must be an int, got 2.5"):
         tau_path(MovePath(mg, (mv,)), 2.5)
+    # the degree is checked before it is used, on every route to a map
+    for bad in ("x", None):
+        for route in (lambda: move_ia(mv, bad),
+                      lambda: path_ia(MovePath(mg, (mv,)), bad),
+                      lambda: tau_path(MovePath(mg, (mv,)), bad)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"degree must be an int, "
+                                               f"got {bad!r}")):
+                route()
     zero = TruncatedTensor(1, 3)
     with pytest.raises(ValueError, match="degrees start at 1"):
         GradedTau(1, {0: (zero, zero)})
@@ -152,7 +163,7 @@ def test_shape_and_degree_validation():
     letter = TruncatedTensor.letter(1, 0, 3)
     with pytest.raises(ValueError, match="not pure"):
         GradedTau(1, {1: (letter, letter)})
-    xy = TruncatedTensor.from_word(1, (0, 1), max_degree=3)
+    xy = TruncatedTensor.from_terms(1, {(0, 1): 1}, 3)
     with pytest.raises(ValueError, match="not a Lie element"):
         GradedTau(1, {1: (xy, xy)})
     # the messages name the letter slot at fault
@@ -186,9 +197,9 @@ def test_shape_and_degree_validation():
         tensor_values([((1, 0), TruncatedTensor(1, 3)),
                        ((0, 1), TruncatedTensor(1, 4))])
     # a degree the value does not hold is named, with the degrees it holds
+    assert t.degrees() == (1, 2)
     held = r"degree 3 not held: this value holds degrees \(1, 2\)"
-    for read in (lambda: t.value(3, (1, 0)), lambda: t.pairs(3),
-                 lambda: t.bracket_image(3)):
+    for read in (lambda: t.value(3, (1, 0)), lambda: t.bracket_image(3)):
         with pytest.raises(ValueError, match=held):
             read()
     with pytest.raises(ValueError, match="need one value per letter"):
@@ -198,18 +209,6 @@ def test_shape_and_degree_validation():
         MoveTau(mv, tau_move(two, 1).tau)
     with pytest.raises(ValueError, match="genus mismatch"):
         ia_between(mg, symplectic_graph(2), set(), 2)
-
-
-def test_structured_pairs_expose_the_dual_basis():
-    mv = whitehead(symplectic_graph(2), 1)
-    t = tau_move(mv, 2).tau
-    assert t.degrees() == (1, 2)
-    for k in t.degrees():
-        pairs = t.pairs(k)
-        assert len(pairs) == 4
-        for j, (vec, v) in enumerate(pairs):
-            assert vec == dual_vector(2, j)
-            assert v == t.values[k][j]
 
 
 # -- one signed permutation and one move map, against the dot-based and
@@ -299,8 +298,8 @@ def test_duality_is_one_signed_permutation_on_random_tensors(data):
 @given(tensors(genus=1, max_degree=4), tensors(genus=1, max_degree=4))
 @settings(max_examples=40, deadline=None)
 def test_derive_satisfies_the_leibniz_rule(x, y):
-    values = [TruncatedTensor.from_word(1, (0, 1), max_degree=4),
-              TruncatedTensor.from_word(1, (1, 1), max_degree=4)]
+    values = [TruncatedTensor.from_terms(1, {(0, 1): 1}, 4),
+              TruncatedTensor.from_terms(1, {(1, 1): 1}, 4)]
     lhs = derive(values, x * y)
     rhs = derive(values, x) * y + x * derive(values, y)
     assert lhs == rhs
@@ -313,8 +312,8 @@ def test_tensor_components_rejects_mixed_genus():
 
 
 def test_derive_replaces_single_letters():
-    values = [TruncatedTensor.from_word(1, (1, 0), max_degree=4),
-              TruncatedTensor.from_word(1, (0, 0), max_degree=4)]
+    values = [TruncatedTensor.from_terms(1, {(1, 0): 1}, 4),
+              TruncatedTensor.from_terms(1, {(0, 0): 1}, 4)]
     for j in (0, 1):
         assert derive(values, TruncatedTensor.letter(1, j, 4)) == values[j]
     assert derive(values, TruncatedTensor.unit(1, 4)).is_zero()
@@ -661,6 +660,21 @@ def test_path_maps_reject_a_non_geometric_marking(last):
         with pytest.raises(ValueError, match=r"not geometric: half-edges "
                                              r"\d+ and \d+ link"):
             run()
+
+
+def test_a_walk_decides_geometry_once(monkeypatch):
+    # a fresh marking has not decided is_geometric; each move hands its
+    # source's answer on, so the move maps along a walk scan the pairs once
+    scans = []
+    scan = MarkedFatgraph._mismatch
+    monkeypatch.setattr(MarkedFatgraph, "_mismatch",
+                        lambda mg: scans.append(mg) or scan(mg))
+    base = symplectic_graph(3)
+    path = random_walk(MarkedFatgraph(base.graph, base.h, base.pi), 4,
+                       random.Random(3))
+    for mv in path.moves:
+        move_ia(mv, 1)
+    assert len(scans) == 1
 
 
 def test_path_values_leave_the_oracles_two_built_tables():

@@ -133,7 +133,7 @@ def test_reversal_flips_ell_and_inverts_theta():
     tab = get_table(mg, N)
     unit = TruncatedTensor.unit(2, N)
     for x in mg.graph.half_edges:
-        xb = mg.graph.reverse(x)
+        xb = mg.graph.pair_[x]
         assert tab.ell(xb) == tab.ell(x).scaled(-1)
         assert tab.theta(x) * tab.theta(xb) == unit
 
@@ -194,7 +194,7 @@ def test_degree_five_properties():
         v = tab.ell(x)
         assert not v.graded(5).is_zero() or v.is_zero()
         assert is_lie(v)
-        assert tab.ell(mg.graph.reverse(x)) == v.scaled(-1)
+        assert tab.ell(mg.graph.pair_[x]) == v.scaled(-1)
 
 
 def test_tables_are_memoized_and_hand_out_their_values():
@@ -219,7 +219,7 @@ def test_cached_tables_do_not_keep_their_graph_alive():
 def test_dropping_a_graph_frees_its_tables_without_the_collector():
     mg = symplectic_graph(2)
     refs = [weakref.ref(get_table(mg, n)) for n in (2, 3)]
-    assert refs[0]().mg is mg and refs[0]().graph is mg.graph
+    assert refs[0]().mg is mg
     gc.disable()
     try:
         del mg
@@ -415,7 +415,7 @@ def test_ell_word_cancels_and_closes():
     mg = walked(2, 3, seed=12)
     G = mg.graph
     x = G.oriented(G.movable_edges()[0])
-    assert ell_word(mg, [x, G.reverse(x)], N).is_zero()
+    assert ell_word(mg, [x, G.pair_[x]], N).is_zero()
     tail_v = G.vertex_of[G.tail]
     vi = next(i for i in range(len(G.vertices)) if i != tail_v)
     assert ell_word(mg, tuple(reversed(G.vertices[vi])), N).is_zero()
@@ -437,7 +437,7 @@ def test_ell_word_reproduces_marking_words():
     for x in G.half_edges:
         word = mg.pi[x]
         assert word
-        halves = [gen_half[c] if c > 0 else G.reverse(gen_half[-c])
+        halves = [gen_half[c] if c > 0 else G.pair_[gen_half[-c]]
                   for c in word]
         assert ell_word(mg, halves, N) == tab.ell(x)
 
