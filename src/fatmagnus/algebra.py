@@ -14,17 +14,18 @@ themselves; the private factory TruncatedTensor._of then reduces the gcd
 once, dividing in place the per-degree dicts handed to it, which it owns
 from then on.  TruncatedTensor.combination, sum c * t over (c, t) pairs
 put over one lcm, is the one linear combination: +, -, negation, scaled
-and hausdorff_tail are each one call to it.  TruncatedTensor.mul_graded
-is the degree-windowed product: one degree of a * b, with no other degree
-formed; a Magnus table reads each vertex increment off one.
+and hausdorff_tail are each one call to it.  _graded_sum is its twin on
+homogeneous pieces, each over its own denominator; a Magnus table is built
+from such pieces and assembled by TruncatedTensor._from_pieces.
 
 exp_t and log_t run one Horner loop (_horner) over y, the argument less its
 constant term.  If every term of y has degree >= m, the accumulator after
 coefficient j is still to be multiplied by y j times, so only its degrees
 <= N - j*m can reach the result, and each step's product stops there.  The
 loop works on integer numerators over one common denominator and reduces
-once, when it builds the result.  A Magnus table is built with no log, and
-a move path takes one star per move; hausdorff_tail serves the BCH oracles.
+once, when it builds the result.  A Magnus table is built with neither,
+a move path takes one star per move, and hausdorff_tail serves the BCH
+oracles.
 
 apply_letter_map, the one substitution routine, takes images with zero
 constant term, so the images of the first i letters of a degree-k word
@@ -41,6 +42,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
+
+# one homogeneous degree of a tensor: (den, {packed word: numerator}),
+# reduced by itself, with no zero numerator
+Piece = tuple[int, dict[int, int]]
 
 
 def _check_positive_int(name: str, x) -> None:
@@ -152,6 +157,35 @@ def _product(a: Sequence[dict[int, int]], b: Sequence[dict[int, int]],
     return [{k: n for k, n in comp.items() if n} for comp in out]
 
 
+def _graded_sum(nletters: int,
+                products: Iterable[tuple[Fraction | int, Piece, Piece, int]],
+                pieces: Iterable[tuple[Fraction | int, Piece]]) -> Piece:
+    """sum c * a * b over (c, a, b, degree of b) plus sum c * p over
+    (c, p), as a piece in lowest terms.  Unlike _product, which forms
+    whole series over one shared denominator and leaves the sum to its
+    caller, it works on one degree over that degree's own denominator, so
+    numerators stay small, and adds each product in as it forms it."""
+    prods = [(c, a, b, nletters ** db) for c, a, b, db in products
+             if c and a[1] and b[1]]
+    lins = [(c, p) for c, p in pieces if c and p[1]]
+    den = lcm(*(c.denominator * a[0] * b[0] for c, a, b, _ in prods),
+              *(c.denominator * p[0] for c, p in lins))
+    acc: dict[int, int] = {}
+    for c, (da, ca), (db, cb), shift in prods:
+        m = c.numerator * (den // (c.denominator * da * db))
+        for k1, n1 in ca.items():
+            base, mn = k1 * shift, m * n1
+            for k2, n2 in cb.items():
+                key = base + k2
+                acc[key] = acc.get(key, 0) + mn * n2
+    for c, (dp, cp) in lins:
+        m = c.numerator * (den // (c.denominator * dp))
+        for k, n in cp.items():
+            acc[k] = acc.get(k, 0) + m * n
+    g = gcd(den, *acc.values())
+    return den // g, {k: n // g for k, n in acc.items() if n}
+
+
 class TruncatedTensor:
     """An element of the tensor algebra truncated above ``max_degree``.
 
@@ -191,6 +225,15 @@ class TruncatedTensor:
         t.genus, t.nletters = genus, 2 * genus
         t.max_degree, t.den, t.comps = max_degree, den, comps
         return t
+
+    @classmethod
+    def _from_pieces(cls, genus: int,
+                     pieces: Sequence[Piece]) -> "TruncatedTensor":
+        """The tensor whose degree-d part is pieces[d], d = 0..max_degree."""
+        den = lcm(*(d for d, _ in pieces))
+        return cls._of(genus, len(pieces) - 1, den,
+                       [{k: n * (den // d) for k, n in c.items()}
+                        for d, c in pieces])
 
     # -- construction -----------------------------------------------------
 
@@ -325,18 +368,6 @@ class TruncatedTensor:
         N = self.max_degree
         return self._of(self.genus, N, self.den * other.den,
                         _product(self.comps, other.comps, self.nletters, 0, N))
-
-    def mul_graded(self, other: "TruncatedTensor",
-                   degree: int) -> "TruncatedTensor":
-        """The degree-``degree`` part of self * other, and no other degree
-        of the product is formed."""
-        _check_shape(self.genus, self.max_degree, other)
-        N = self.max_degree
-        comps: list[dict[int, int]] = [{} for _ in range(N + 1)]
-        if 0 <= degree <= N:
-            comps[degree] = _product(self.comps, other.comps, self.nletters,
-                                     degree, degree)[degree]
-        return self._of(self.genus, N, self.den * other.den, comps)
 
     def bracket(self, other: "TruncatedTensor") -> "TruncatedTensor":
         """self * other - other * self, as one integer difference."""

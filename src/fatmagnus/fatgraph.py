@@ -151,6 +151,27 @@ class Fatgraph:
         # the trace found one boundary cycle, so V - E + 1 = 2 - 2g exactly
         self._genus = (1 + len(self.edges) - len(self.vertices)) // 2
 
+    @classmethod
+    def _moved(cls, src: "Fatgraph", old_vertices: tuple[int, int],
+               new_vertices: Sequence[tuple[int, int, int]]) -> "Fatgraph":
+        """src with two vertices replaced, unchecked: only for whitehead,
+        whose new vertices hold the same half-edges.  It shares src's
+        edges and pairing, and re-traces the boundary."""
+        G = object.__new__(cls)
+        G.vertices = [v for i, v in enumerate(src.vertices)
+                      if i not in old_vertices] + list(new_vertices)
+        G.edges, G.tail, G.half_edges = src.edges, src.tail, src.half_edges
+        G.pair_, G.edge_of = src.pair_, src.edge_of
+        G.next_ = dict(src.next_)
+        for v in new_vertices:
+            for j, h in enumerate(v):
+                G.next_[h] = v[(j + 1) % 3]
+        G.vertex_of = {h: vi for vi, v in enumerate(G.vertices) for h in v}
+        G._cycle = G._trace_boundary()
+        G._pos = {h: i for i, h in enumerate(G._cycle)}
+        G._genus = src._genus
+        return G
+
     def _trace_boundary(self) -> list[int]:
         """The orbit of the tail under the boundary successor, succ = next
         o pair.  It is a permutation that keeps to one component, so the
@@ -468,7 +489,8 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     Raises ValueError on a non-int edge id, an unknown edge or the tail
     edge; every other edge joins two trivalent vertices (see Fatgraph).
     The result is valid by construction from the validated source, so it
-    is not validated again.  The move keeps the half-edge set and the
+    is not validated again, and its graph shares the source's pairing
+    (Fatgraph._moved).  The move keeps the half-edge set and the
     tail edge with its markings; the new edge f takes e's half-edges,
     its marking negated across the reversal.  The source's two vertices
     at e give the move relation a + b + c + d = 0, so both new vertices,
@@ -497,10 +519,7 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     d = G.next_[e0]
     c = G.next_[d]
 
-    new_vertices = [v for i, v in enumerate(G.vertices) if i not in (v1, v2)]
-    new_vertices.append((e1, a, d))
-    new_vertices.append((e0, c, b))
-    graph2 = Fatgraph(new_vertices, G.edges, G.tail)
+    graph2 = Fatgraph._moved(G, (v1, v2), ((e1, a, d), (e0, c, b)))
 
     g = G.genus()
     h2 = dict(mg.h)
@@ -672,8 +691,7 @@ def _solve_markings(graph: Fatgraph, names: Mapping[str, int],
 def symplectic_graph(g: int) -> MarkedFatgraph:
     """The canonical marked genus-g fatgraph: a chain of handle blocks with
     the tail at the left end, marked by the standard symplectic generators."""
-    if type(g) is not int or g < 1:
-        raise ValueError(f"genus must be a positive int, got {g!r}")
+    _check_positive_int("genus", g)
     graph, names = _build_chain(g)
     pi = _solve_markings(graph, names, g)
     h = {half: w_abelianize(word, 2 * g) for half, word in pi.items()}

@@ -1,19 +1,20 @@
 """Magnus expansion tables over marked trivalent fatgraphs.
 
 The series for each oriented edge is built degree by degree along the
-boundary cycle.  theta multiplies to one around every vertex below the new
+boundary cycle, as the generalized Magnus expansion of Kawazumi (2005).
+theta = exp(ell) multiplies to one around every vertex below the new
 degree n, and the cyclic rotations of that product are conjugates, so the
 three corners of a vertex share one increment: the degree-n part of the
 product.  Degree n of an edge is plus a third of the sum of the increments
-over its tail-avoiding arc, so one sweep of the cycle per degree covers
-every edge at once, and no log is taken.
+over its tail-avoiding arc, and no log is taken.
 
 Each edge has one arc half-edge, whose tail-avoiding arc runs forward
 along the cycle; the other half is its reverse, with ell(reverse) =
 -ell(arc half), so theta(reverse) is theta(arc half) inverted.  Only the
-arc halves run exp_t, and one degree-n product of two of them gives a
-vertex's increment X_n.  If (x, y, z) is any rotation of the vertex's
-relation order, theta(x)theta(y)theta(z) = 1 + X_n through degree n, so
+arc halves are built, and one degree-n product of the thetas of two of
+them gives a vertex's increment X_n.  If (x, y, z) is any rotation of the
+vertex's relation order, theta(x)theta(y)theta(z) = 1 + X_n through
+degree n, so
 
     X_n = [theta(x)theta(y)]_n - theta_n(pair z)
         = theta_n(x) - [theta(pair z)theta(pair y)]_n.
@@ -23,31 +24,38 @@ cycle starts at the tail and pos(v[i+1]) = pos(pair v[i]) + 1, so three
 arc halves would need pos(v[0]) < pos(v[1]) < pos(v[2]) < pos(v[0]), and
 three reversed halves the same with >.  With two arc halves the first
 form reads X_n off them, the reversed half as z; with two reversed halves
-the second form does, the arc half as x.  Either way only arc
-exponentials enter.
+the second form does, the arc half as x.  Either way only the thetas of
+arc halves enter.
 
-The sweep puts each degree's increments over one denominator, with the
-1/3 folded in, and walks the cycle once with a running dict of integer
-numerators.  It copies that dict at each arc's start and takes the
-difference at the arc's end, so each edge is reduced once per degree.
-A table stores ell and nothing it can derive: the integral
-tensors P = 6 ell_2, Q = 36 ell_3 and R = 216 ell_4 are exact rescalings
-of its graded parts, read off on each call.
+The build works on homogeneous pieces, each over its own denominator,
+summed by algebra._graded_sum.  Per arc half it keeps ell_d, theta_d =
+[exp ell]_d and p_{r,d} = [ell^r / r!]_d below n.  At degree n, p_{r,n} =
+(1/r) sum_k ell_k p_{r-1,n-k}, and R_n = sum_{r>=2} p_{r,n} is theta_n
+less the still unknown ell_n, so in the form (s, x, y, z) of a vertex
 
-Along a path of Whitehead moves only the first table needs the sweep:
-by naturality of the log expansion (Kawazumi 2005) each later table,
-pulled back to the initial graph, changes only on the moved edge, so
+    X_n = s (sum_{0<d<n} theta_d(x) theta_{n-d}(y) + R_n(x) + R_n(y) - R_n(z))
+
+ell_n of an arc is the sum of ell_n over the arcs nested directly inside
+it plus k/3 X_n(w) for each vertex w with k of its corners left over, a
+split fixed by the chord key and taken shortest arc first.  Then theta_n =
+ell_n + R_n; after the last degree N nothing reads p_{r,N} or theta_N, so
+neither is formed.  A table stores ell and nothing it can derive: P =
+6 ell_2 and Q = 36 ell_3 are read off on each call.
+
+Along a path of Whitehead moves only the first table is built: by
+naturality of the log expansion (Kawazumi 2005) each later table, pulled
+back to the initial graph, changes only on the moved edge, so
 johnson.path_ia reads every move off the initial table.
 """
 
 from __future__ import annotations
 
 import weakref
-from math import gcd, lcm
+from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import Optional
 
-from .algebra import TruncatedTensor, exp_t, lie_pretty, star
+from .algebra import TruncatedTensor, _graded_sum, exp_t, lie_pretty
 from .fatgraph import MarkedFatgraph, WhiteheadMove
 
 
@@ -73,8 +81,9 @@ class MagnusTable:
         G = mg.graph
         tail_v = G.vertex_of[G.tail]
         self._mg = weakref.ref(mg)
-        self.max_degree = max_degree
+        self.max_degree = N = max_degree
         g = mg.genus()
+        nl = 2 * g
         cycle = G.boundary_cycle()
         pair = G.pair_
         # the half-edges whose tail-avoiding arc runs forward on the cycle
@@ -96,18 +105,57 @@ class MagnusTable:
             forms[i] = ((1, a, b, pair[lone]) if two_arcs
                         else (-1, pair[b], pair[a], lone))
 
-        ell = {h: TruncatedTensor.from_vector(g, mg.h[h], max_degree)
-               for h in arcs}
-        for n in range(2, max_degree + 1):
-            exps = {h: exp_t(ell[h].truncated(n)) for h in arcs}
-            # a corner's increment: its vertex product in degree n (theta
-            # closes below n); step x -> y of the cycle turns at y's vertex
-            close = {i: TruncatedTensor.combination(
-                         g, ((s, exps[x].mul_graded(exps[y], n)),
-                             (-s, exps[z].graded(n))), n)
-                     for i, (s, x, y, z) in forms.items()}
-            inc = [close[G.vertex_of[y]] for y in cycle[1:]]
-            ell = self._arc_sums(cycle, pair, arcs, inc, n, ell)
+        # per arc, shortest first: the arcs nested directly inside it and
+        # how many of its corners are left over at each vertex; corner j
+        # turns at the vertex of cycle[j + 1]
+        splits = []
+        for i in sorted((i for i in range(len(cycle)) if i < key[i]),
+                        key=lambda i: key[i] - i):
+            inner, corners, j = [], {}, i
+            while j < key[i]:
+                if i < j < key[j] < key[i]:
+                    inner.append(cycle[j])
+                    j = key[j]
+                else:
+                    w = G.vertex_of[cycle[j + 1]]
+                    corners[w] = corners.get(w, 0) + 1
+                    j += 1
+            splits.append((cycle[i], inner,
+                           [(Fraction(k, 3), w) for w, k in corners.items()]))
+
+        # pieces of each arc half: pw[h][r, d] = [ell^r / r!]_d, so
+        # pw[h][1, d] is ell_d, and theta[h][d] = [exp ell]_d below degree n
+        one = {h: TruncatedTensor.from_vector(g, mg.h[h], N) for h in arcs}
+        pw = {h: {(1, 1): (t.den, t.comps[1])} for h, t in one.items()}
+        theta = {h: {1: p[1, 1]} for h, p in pw.items()}
+        for n in range(2, N + 1):
+            # R[h] = theta_n(h) less ell_n(h), which is still to be found
+            R = {}
+            for h, p in pw.items():
+                prods = [[(Fraction(1, r), p[1, k], p[r - 1, n - k], n - k)
+                          for k in range(1, n - r + 2)]
+                         for r in range(2, n + 1)]
+                if n == N:  # no later degree reads p[r, N]
+                    R[h] = _graded_sum(nl, [x for v in prods for x in v], ())
+                    continue
+                for r, v in enumerate(prods, 2):
+                    p[r, n] = _graded_sum(nl, v, ())
+                R[h] = _graded_sum(nl, (), [(1, p[r, n])
+                                            for r in range(2, n + 1)])
+            X = {i: _graded_sum(nl, ((s, theta[x][d], theta[y][n - d], n - d)
+                                     for d in range(1, n)),
+                                ((s, R[x]), (s, R[y]), (-s, R[z])))
+                 for i, (s, x, y, z) in forms.items()}
+            for h, inner, corners in splits:
+                pw[h][1, n] = _graded_sum(
+                    nl, (), [(1, pw[x][1, n]) for x in inner]
+                    + [(c, X[w]) for c, w in corners])
+            if n < N:
+                for h, t in theta.items():
+                    t[n] = _graded_sum(nl, (), ((1, pw[h][1, n]), (1, R[h])))
+        ell = {h: TruncatedTensor._from_pieces(
+                   g, [(1, {})] + [p[1, d] for d in range(1, N + 1)])
+               for h, p in pw.items()}
         for h in arcs:
             ell[pair[h]] = -ell[h]
         self._ell = ell
@@ -138,65 +186,8 @@ class MagnusTable:
     def Q(self, half: int) -> TruncatedTensor:
         return self._value(half).graded(3).scaled(36)
 
-    def R(self, half: int) -> TruncatedTensor:
-        return self._value(half).graded(4).scaled(216)
-
-    # -- the arc sweep -----------------------------------------------------
-
-    def _arc_sums(self, cycle: list[int], pair: dict[int, int],
-                  arcs: set[int], inc: list[TruncatedTensor], n: int,
-                  base: dict[int, TruncatedTensor]
-                  ) -> dict[int, TruncatedTensor]:
-        """base[h] plus a third of inc[p] + ... + inc[q - 1] on each arc
-        [p..q], where each increment is the degree-n part of a vertex
-        product (the vertex relation), sign and all, in the table's shape.
-        Arc h starts where h sits on the cycle and ends at its reverse,
-        pair[h]."""
-        N = self.max_degree
-        den = lcm(*(t.den for t in inc))
-        mult = [den // t.den for t in inc]
-        den *= 3
-        run: dict[int, int] = {}
-        opened: dict[int, dict[int, int]] = {}
-        out = {}
-        for j, h in enumerate(cycle):
-            if h in arcs:
-                opened[h] = dict(run)
-            else:
-                h = pair[h]
-                # run only gains keys, so it has every key of the copy
-                start = opened.pop(h)
-                diff = {k: d for k, v in run.items()
-                        if (d := v - start.get(k, 0))}
-                # part = diff / den in lowest terms; old and part are
-                # reduced, so their sum over the lcm is too
-                g = gcd(den, *diff.values())
-                old = base[h]
-                sum_den = lcm(old.den, den // g)
-                a, b = sum_den // old.den, sum_den // (den // g)
-                comps = [{k: v * a for k, v in c.items()} for c in old.comps]
-                comps[n] = {k: v // g * b for k, v in diff.items()}
-                out[h] = TruncatedTensor._of(old.genus, N, sum_den, comps)
-            if j < len(inc):
-                m = mult[j]
-                for k, v in inc[j].comps[n].items():
-                    run[k] = run.get(k, 0) + m * v
-        return out
-
 
 # -- module-level API ------------------------------------------------------
-
-
-def ell_word(mg: MarkedFatgraph, halves: Sequence[int],
-             max_degree: int) -> TruncatedTensor:
-    """Expansion of a word of oriented edges: the star product of values."""
-    if not halves:
-        raise ValueError("empty edge word")
-    table = get_table(mg, max_degree)
-    total = table.ell(halves[0])
-    for h in halves[1:]:
-        total = star(total, table.ell(h))
-    return total
 
 
 def check_relations(move: WhiteheadMove,

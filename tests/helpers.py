@@ -245,13 +245,35 @@ def reference_apply_letter_map(t: TruncatedTensor,
     return out
 
 
+def ell_word(mg, halves, max_degree):
+    """Expansion of a word of oriented edges: the star product of their
+    table values, kept as a reference routine."""
+    from fatmagnus.algebra import star
+    from fatmagnus.magnus import get_table
+
+    if not halves:
+        raise ValueError("empty edge word")
+    table = get_table(mg, max_degree)
+    total = table.ell(halves[0])
+    for h in halves[1:]:
+        total = star(total, table.ell(h))
+    return total
+
+
+def table_R(table, half):
+    """The integral table R = 216 ell_4 of a half-edge, read off a
+    MagnusTable as P and Q are."""
+    return table.ell(half).graded(4).scaled(216)
+
+
 class ReferenceMagnusTable:
     """The prefix-sum table build, kept as the reference for MagnusTable:
     exp_t on every half-edge, one BCH log per boundary corner where the
     table reads a vertex product, and TruncatedTensor prefix sums per
     degree.
     It also keeps the recursive bracket formulas for the integral tables
-    P, Q, R and qhat, which MagnusTable reads off ell's graded parts."""
+    P, Q, R and qhat; MagnusTable.P, MagnusTable.Q and table_R read the
+    first three off ell's graded parts."""
 
     def __init__(self, mg, max_degree):
         from fatmagnus.algebra import exp_t, log_t

@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 from math import gcd
 
@@ -125,22 +124,6 @@ def test_product_associative(a, b, c):
 @given(tensors(), tensors(), tensors())
 def test_product_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
-
-
-@given(genus_1_or_2(tensors, tensors))
-def test_mul_graded_is_one_degree_of_the_product(ab):
-    a, b = ab
-    for d in range(a.max_degree + 1):
-        assert a.mul_graded(b, d) == (a * b).graded(d)
-
-
-def test_mul_graded_rejects_a_shape_mismatch_as_mul_does():
-    u1 = TruncatedTensor.letter(1, 0, 5)
-    for other in (TruncatedTensor.letter(2, 0, 5), u1.truncated(3)):
-        with pytest.raises(ValueError) as by_mul:
-            u1 * other
-        with pytest.raises(ValueError, match=re.escape(str(by_mul.value))):
-            u1.mul_graded(other, 2)
 
 
 @given(tensors(), tensors())

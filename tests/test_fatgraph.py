@@ -519,6 +519,20 @@ def test_whitehead_results_are_valid_by_construction(g):
             assert_equals_full_construction(mv.result)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_whitehead_graphs_equal_the_checked_construction(g):
+    # whitehead builds its graph unchecked, sharing the source's pairing;
+    # it must equal what the public constructor builds from its vertices
+    for mv in random_walk(symplectic_graph(g), 12, random.Random(g)).moves:
+        src, G = mv.source.graph, mv.result.graph
+        full = Fatgraph(G.vertices, G.edges, G.tail)
+        assert vars(G) == vars(full)
+        assert G.chord_key() == full.chord_key()
+        for name in ("edges", "pair_", "edge_of", "half_edges"):
+            assert getattr(G, name) is getattr(src, name)
+        assert G.next_ is not src.next_ and G.vertex_of is not src.vertex_of
+
+
 def test_whitehead_results_normalize_fraction_markings():
     # a Fraction marking with no pi: the sum that marks f can be integral,
     # and must then be stored as an int
@@ -750,6 +764,6 @@ def test_symplectic_graph_rejects_bad_genus():
 
 @pytest.mark.parametrize("genus", [2.5, "2"])
 def test_symplectic_graph_rejects_a_non_int_genus(genus):
-    with pytest.raises(ValueError, match="genus must be a positive int, "
+    with pytest.raises(ValueError, match="genus must be an int, "
                                          f"got {genus!r}"):
         symplectic_graph(genus)

@@ -26,6 +26,7 @@ from helpers import (
     reference_tensor_components,
     reference_tensor_values,
     single_sector_vector,
+    table_R,
     tensors,
     walk_moves,
     wedge_rich_path,
@@ -540,7 +541,7 @@ def test_quiet_label_degree_four_needs_quadratic_corrections():
             ha, hc = letter_vec(g, av, 5), letter_vec(g, cv, 5)
             pa, pb, pc = (tab.P(x) for x in (mv.a, mv.b, mv.c))
             qa, qb, qc = (tab.Q(x) for x in (mv.a, mv.b, mv.c))
-            rb = tab.R(mv.b)
+            rb = table_R(tab, mv.b)
             head_a = (hc.bracket(rb) + pc.bracket(qb) + qc.bracket(pb)
                       - hc.bracket(hc.bracket(qb)))
             head_c = (ha.bracket(rb) + pa.bracket(qb) + qa.bracket(pb)

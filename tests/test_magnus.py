@@ -14,9 +14,11 @@ import pytest
 
 from helpers import (
     ReferenceMagnusTable,
+    ell_word,
     figure_eight,
     random_walk,
     reference_lie_pretty,
+    table_R,
 )
 from fatmagnus.algebra import (
     TruncatedTensor,
@@ -41,7 +43,6 @@ from fatmagnus.magnus import (
     MagnusTable,
     check_relations,
     dump_table,
-    ell_word,
     get_table,
 )
 
@@ -230,10 +231,22 @@ def test_dropping_a_graph_frees_its_tables_without_the_collector():
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_build_equals_the_prefix_sum_reference(g):
-    # degrees 2-6, each on a fixed-seed walk of 0-3 moves
+    # degrees 2-6, each on a fixed-seed walk of 0-3 moves; one deeper
+    # table at genus 1-3; a degree-4 walk from a marking with Fraction
+    # entries
     rng = random.Random(g)
-    for n in range(2, 7):
-        mg = random_walk(symplectic_graph(g), (n + g) % 4, rng).final
+    cases = [(random_walk(symplectic_graph(g), (n + g) % 4, rng).final, n)
+             for n in range(2, 7)]
+    deep = {1: (8, 4), 2: (7, 8), 3: (7, 6)}  # genus: degree, moves
+    if g in deep:
+        n, steps = deep[g]
+        walk = random_walk(symplectic_graph(g), steps, random.Random(100 * g))
+        cases.append((walk.final, n))
+    scale = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
+    scale[0][0], scale[-1][-1] = 3, Fraction(1, 2)
+    fractional = symplectic_graph(g).apply_basis_change(scale)
+    cases.append((random_walk(fractional, 3, rng).final, 4))
+    for mg, n in cases:
         ref = ReferenceMagnusTable(mg, n)
         tab = MagnusTable(mg, n)
         for h in mg.graph.half_edges:
@@ -241,7 +254,11 @@ def test_build_equals_the_prefix_sum_reference(g):
             assert tab.theta(h) == exp_t(ref.ell[h])
             assert tab.P(h) == ref.P[h]
             assert tab.Q(h) == ref.Q[h]
-            assert tab.R(h) == ref.R[h]
+            assert table_R(tab, h) == ref.R[h]
+    assert any(type(x) is Fraction for v in mg.h.values() for x in v)
+    for bad in ("x", 0):
+        with pytest.raises(ValueError, match="max_degree must be"):
+            MagnusTable(mg, bad)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -334,7 +351,7 @@ def test_integral_tables_scale_the_graded_parts():
             lv = ref.ell[x]
             assert ref.P[x] == lv.graded(2).scaled(6) == tab.P(x)
             assert ref.Q[x] == lv.graded(3).scaled(36) == tab.Q(x)
-            assert ref.R[x] == lv.graded(4).scaled(216) == tab.R(x)
+            assert ref.R[x] == lv.graded(4).scaled(216) == table_R(tab, x)
             if unimodular:
                 for t in (ref.P[x], ref.Q[x], ref.R[x], ref.qhat[x]):
                     assert all(c.denominator == 1 for _, c in t.terms())
@@ -344,7 +361,8 @@ def test_table_readers_name_a_half_edge_not_in_the_graph():
     mg = symplectic_graph(1)
     tab = get_table(mg, N)
     assert 999 not in mg.graph.half_edges
-    for read in (tab.ell, tab.theta, tab.P, tab.Q, tab.R):
+    for read in (tab.ell, tab.theta, tab.P, tab.Q,
+                 lambda h: table_R(tab, h)):
         with pytest.raises(ValueError, match="half-edge 999 is not in the graph"):
             read(999)
 
