@@ -9,14 +9,16 @@ only appear at the API surface.
 Every tensor is in one canonical form: a positive denominator, no zero
 numerator and gcd(den, numerators) == 1, so equal values compare equal
 whatever the route.  Two routines make it.  The producers that can cancel
-terms (combination, bracket, _product, apply_letter_map) drop zeros
-themselves; the private factory TruncatedTensor._of then reduces the gcd
-once, dividing in place the per-degree dicts handed to it, which it owns
-from then on.  TruncatedTensor.combination, sum c * t over (c, t) pairs
-put over one lcm, is the one linear combination: +, -, negation, scaled
-and hausdorff_tail are each one call to it.  _graded_sum is its twin on
-homogeneous pieces, each over its own denominator; a Magnus table is built
-from such pieces and assembled by TruncatedTensor._from_pieces.
+terms (combination, bracket, _product, _graded_sum, _dynkin,
+apply_letter_map) drop zeros themselves; the private factory
+TruncatedTensor._of then reduces the gcd once, dividing in place the
+per-degree dicts handed to it, which it owns from then on.
+TruncatedTensor.combination, sum c * t over (c, t) pairs put over one lcm,
+is the one linear combination: +, -, negation, scaled and hausdorff_tail
+are each one call to it.  _graded_sum is its twin on homogeneous pieces,
+each over its own denominator; a Magnus table is built from such pieces
+and assembled by TruncatedTensor._from_pieces.  _dynkin is the one bracket
+expansion; is_lie and the cocycle presentations run on it.
 
 exp_t and log_t run one Horner loop (_horner) over y, the argument less its
 constant term.  If every term of y has degree >= m, the accumulator after
@@ -395,22 +397,34 @@ class TruncatedTensor:
 # -- Lie structure --------------------------------------------------------
 
 
-def _right_normed(word: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """[w_1, [w_2, [..., w_k]]] as {word: coefficient}, zeros dropped."""
-    out = {tuple(word[-1:]): 1}
-    for c in reversed(word[:-1]):
-        new: dict[tuple[int, ...], int] = {}
-        for w, n in out.items():
-            new[(c,) + w] = new.get((c,) + w, 0) + n
-            new[w + (c,)] = new.get(w + (c,), 0) - n
-        out = {w: n for w, n in new.items() if n}
-    return out
+def _dynkin(comp: dict[int, int], n: int, nletters: int) -> dict[int, int]:
+    """sum c_w [w_1, [w_2, [..., w_n]]] over a degree-n piece {w: c_w} of
+    packed words, zeros dropped (comp if n < 2); words grouped by first
+    letter a share one expansion of their suffixes s: a D(s) - D(s) a."""
+    if n < 2:
+        return comp
+    shift = nletters ** (n - 1)
+    groups: dict[int, dict[int, int]] = {}
+    for key, c in comp.items():
+        a, rest = divmod(key, shift)
+        groups.setdefault(a, {})[rest] = c
+    out: dict[int, int] = {}
+    for a, rest in groups.items():
+        base = a * shift
+        for k, c in _dynkin(rest, n - 1, nletters).items():
+            out[base + k] = out.get(base + k, 0) + c
+            out[k * nletters + a] = out.get(k * nletters + a, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def right_bracketing(genus: int, word: Sequence[int],
                      max_degree: int) -> TruncatedTensor:
-    """[w_1, [w_2, [..., w_k]]] as a tensor."""
-    return TruncatedTensor.from_terms(genus, _right_normed(word), max_degree)
+    """[w_1, [w_2, [..., w_k]]] as a tensor.  The package does not call
+    it; it is kept as the one public face of _dynkin, which the tests
+    check against the bracket-product reference."""
+    t = TruncatedTensor.from_terms(genus, {tuple(word): 1}, max_degree)
+    return TruncatedTensor._of(genus, max_degree, 1, [
+        _dynkin(comp, n, t.nletters) for n, comp in enumerate(t.comps)])
 
 
 def is_lie(t: TruncatedTensor) -> bool:
@@ -418,23 +432,13 @@ def is_lie(t: TruncatedTensor) -> bool:
 
     The Dynkin-Specht-Wever criterion, on the integer numerators: a
     degree-n tensor t = sum_w c_w w is Lie iff sum_w c_w r(w) = n t, with
-    r(w) = [w_1, [w_2, [..., w_n]]].  A constant term is never Lie.
+    r(w) = [w_1, [w_2, [..., w_n]]] (_dynkin).  A constant is never Lie.
     """
     if t.comps[0]:
         return False
-    nl = t.nletters
-    for n, comp in enumerate(t.comps[1:], 1):
-        if not comp:
-            continue
-        acc: dict[int, int] = {}
-        for key, c in comp.items():
-            for w, s in _right_normed(_unpack(key, n, nl)).items():
-                k = _pack(w, nl)
-                acc[k] = acc.get(k, 0) + s * c
-        if {k: c for k, c in acc.items() if c} != {
-                k: n * c for k, c in comp.items()}:
-            return False
-    return True
+    return all(_dynkin(comp, n, t.nletters)
+               == {k: n * c for k, c in comp.items()}
+               for n, comp in enumerate(t.comps[1:], 1) if comp)
 
 
 def _check_lie(t: TruncatedTensor, degree: int, where: str) -> None:
@@ -589,7 +593,8 @@ def symplectic_form(genus: int, max_degree: int) -> TruncatedTensor:
     _check_positive_int("genus", genus)
     return TruncatedTensor.from_terms(
         genus, {w: s for i in range(genus)
-                for w, s in _right_normed((i, genus + i)).items()}, max_degree)
+                for w, s in (((i, genus + i), 1), ((genus + i, i), -1))},
+        max_degree)
 
 
 def apply_letter_map(t: TruncatedTensor,
@@ -636,14 +641,6 @@ def apply_letter_map(t: TruncatedTensor,
     return TruncatedTensor._of(
         genus, N, t.den * den ** N,
         [{w: v for w, v in comp.items() if v} for comp in out])
-
-
-def matrix_letter_images(genus: int, matrix: Sequence[Sequence[int]],
-                         max_degree: int) -> list[TruncatedTensor]:
-    """Images of the letters under a linear map given by rows = letter images."""
-    if len(matrix) != 2 * genus or any(len(r) != 2 * genus for r in matrix):
-        raise ValueError("matrix must be 2g x 2g")
-    return [TruncatedTensor.from_vector(genus, row, max_degree) for row in matrix]
 
 
 def is_symplectic_matrix(genus: int,

@@ -11,22 +11,23 @@ components c_k, one Lie element per letter.  A move's letter values
 enter through tensor_components, the signed permutation that
 johnson.dual_vector owns, and the bracket contraction that membership
 asks to vanish is johnson's sum_k [x_k, c_k].  Every degree-three value
-is built from a right-normed presentation {(x, y, z, w): c}, which
-stands for sum c * x (x) [y, [z, w]], and is expanded into letter-slot
-tensors once, by _expand.
+is built from a right-normed presentation, integer numerators keyed by
+x * nl**3 + packed(y, z, w) for x (x) [y, [z, w]] over one denominator,
+and is expanded into letter-slot tensors once, by _expand (_dynkin).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     TruncatedTensor,
     _check_lie,
     _check_positive_int,
-    _right_normed,
+    _dynkin,
     letter_name,
     lie_pretty,
     signed_sum,
@@ -151,17 +152,17 @@ class Lambda3:
         return f"Lambda3(genus={self.genus}, {self})"
 
 
-# a right-normed presentation {(x, y, z, w): c}: sum c * x (x) [y, [z, w]]
-Presentation = dict[tuple[int, int, int, int], Fraction]
-
-
-def _expand(genus: int, pres: Presentation) -> list[TruncatedTensor]:
-    """The letter-slot components a presentation stands for."""
-    slots: list[dict] = [{} for _ in range(2 * genus)]
-    for (x, *inner), c in pres.items():
-        for w, s in _right_normed(inner).items():
-            slots[x][w] = slots[x].get(w, 0) + s * c
-    return [TruncatedTensor.from_terms(genus, t, LIE_DEGREE) for t in slots]
+def _expand(genus: int, den: int,
+            pres: Iterable[tuple[int, int]]) -> list[TruncatedTensor]:
+    """The letter-slot components of summed (key, numerator) pairs / den."""
+    nl, cube = 2 * genus, (2 * genus) ** 3
+    slots: list[dict[int, int]] = [{} for _ in range(nl)]
+    for key, c in pres:
+        x, yzw = divmod(key, cube)
+        slots[x][yzw] = slots[x].get(yzw, 0) + c
+    return [TruncatedTensor._from_pieces(
+        genus, [(1, {})] * LIE_DEGREE + [(den, _dynkin(t, LIE_DEGREE, nl))])
+        for t in slots]
 
 
 def _check_components(comps: Sequence[TruncatedTensor],
@@ -178,43 +179,40 @@ def _check_components(comps: Sequence[TruncatedTensor],
     return g
 
 
-def _wedge_words(xi: Lambda3) -> list[dict[tuple[int, int], Fraction]]:
-    # slot i of a^b^c carries -[b, c], cyclically
-    out: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(2 * xi.genus)]
-    for (i, j, k), c in xi.terms():
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            out[x][(y, z)] = out[x].get((y, z), 0) - c
-            out[x][(z, y)] = out[x].get((z, y), 0) + c
-    return out
-
-
 def wedge_components(xi: Lambda3) -> tuple[TruncatedTensor, ...]:
     """The degree-one tensor a wedge triple stands for.
 
     Orientation is pinned by the frozen duality: six times the
     degree-one value of a move has exactly the components of its label
-    wedge under this map.
+    wedge under this map.  Slot i of a^b^c carries -[b, c], cyclically;
+    a slot and a word fix the triple, so no two terms meet.
     """
-    return tuple(TruncatedTensor.from_terms(xi.genus, w, 2)
-                 for w in _wedge_words(xi))
+    out: list[dict] = [{} for _ in range(2 * xi.genus)]
+    for (i, j, k), c in xi.coeffs.items():
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            out[x][(y, z)], out[x][(z, y)] = -c, c
+    return tuple(TruncatedTensor.from_terms(xi.genus, w, 2) for w in out)
 
 
-def _pairing_words(s: TruncatedTensor, t: TruncatedTensor) -> list[dict]:
-    """The words of two degree-two Lie elements, validated."""
+def _checked_pair(s: TruncatedTensor, t: TruncatedTensor
+                   ) -> tuple[TruncatedTensor, TruncatedTensor]:
+    """Two degree-two Lie elements, validated and read at degree two."""
     if s.genus != t.genus:
         raise ValueError("genus mismatch")
     for which, x in (("first", s), ("second", t)):
         _check_lie(x, 2, f"{which} argument")
-    return [dict(s.terms()), dict(t.terms())]
+    return s.truncated(2), t.truncated(2)
 
 
-def _add_pairing(pres: Presentation, s: dict, t: dict, scale: int = 1) -> None:
-    """Add scale * varpi(s, t), given the degree-two words of s and t:
-    t = (1/2) sum t_kl [k, l], so key (i, j, k, l) gets s_ij t_kl / 2."""
-    for (i, j), a in s.items():
-        for (k, l), b in t.items():
-            key = (i, j, k, l)
-            pres[key] = pres.get(key, 0) + Fraction(scale, 2) * a * b
+def _pairings(genus: int, pairs: list) -> list[TruncatedTensor]:
+    """sum c * varpi(s, t) over (c, s, t), s and t degree-two tensors:
+    t = (1/2) sum t_kl [k, l], so key (i, j, k, l) gets c s_ij t_kl / 2."""
+    sq = 4 * genus * genus
+    den = lcm(*(2 * s.den * t.den for _, s, t in pairs))
+    return _expand(genus, den, (
+        (ij * sq + kl, c * (den // (2 * s.den * t.den)) * a * b)
+        for c, s, t in pairs
+        for ij, a in s.comps[2].items() for kl, b in t.comps[2].items()))
 
 
 def varpi(s: TruncatedTensor, t: TruncatedTensor
@@ -226,9 +224,7 @@ def varpi(s: TruncatedTensor, t: TruncatedTensor
     a (x) [b, t] - b (x) [a, t].  Symmetric inputs land in the
     symmetrized subspace; see symmetric_pair.
     """
-    pres: Presentation = {}
-    _add_pairing(pres, *_pairing_words(s, t))
-    return tuple(_expand(s.genus, pres))
+    return tuple(_pairings(s.genus, [(1, *_checked_pair(s, t))]))
 
 
 def _bar_components(comps: Sequence[TruncatedTensor]) -> list[TruncatedTensor]:
@@ -238,16 +234,24 @@ def _bar_components(comps: Sequence[TruncatedTensor]) -> list[TruncatedTensor]:
     c_w [w_1, [w_2, w_3]], so slot x presents as {(x, w_1, w_2, w_3):
     c_w / 3}.  The quarter rule sends each key (x, y, z, w) to
     (x, y, z, w) and (z, w, x, y) with +1/4, and to (y, x, z, w) and
-    (w, z, x, y) with -1/4.
+    (w, z, x, y) with -1/4: c_w / 12 over the lcm of the denominators.
     """
-    pres: Presentation = {}
-    for x, t in enumerate(comps):
-        for (y, z, w), c in t.terms():
-            q = c / 12
-            for key, v in (((x, y, z, w), q), ((y, x, z, w), -q),
-                           ((z, w, x, y), q), ((w, z, x, y), -q)):
-                pres[key] = pres.get(key, 0) + v
-    return _expand(comps[0].genus, pres)
+    nl = 2 * comps[0].genus
+    sq = nl * nl
+    den = lcm(*(t.den for t in comps))
+
+    def quarters():
+        for x, t in enumerate(comps):
+            for yzw, c in t.comps[LIE_DEGREE].items():
+                q = c * (den // t.den)
+                y, zw = divmod(yzw, sq)
+                z, w = divmod(zw, nl)
+                # (x, y, z, w), (y, x, z, w), (z, w, x, y), (w, z, x, y)
+                yield (x * nl + y) * sq + zw, q
+                yield (y * nl + x) * sq + zw, -q
+                yield zw * sq + x * nl + y, q
+                yield (w * nl + z) * sq + x * nl + y, -q
+    return _expand(comps[0].genus, 12 * den, quarters())
 
 
 class H2Element:
@@ -325,8 +329,7 @@ class H2Element:
         return all(t.is_zero() for t in self.components)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1
-                   for t in self.components for _, c in t.terms())
+        return all(t.den == 1 for t in self.components)
 
     def symbol_terms(self) -> list[tuple[Fraction,
                                          tuple[int, int], tuple[int, int]]]:
@@ -390,11 +393,9 @@ class H2Element:
 def symmetric_pair(s: TruncatedTensor, t: TruncatedTensor) -> H2Element:
     """Symmetrized pairing varpi(s, t) + varpi(t, s) of two degree-two
     Lie elements."""
-    a, b = _pairing_words(s, t)
-    pres: Presentation = {}
-    _add_pairing(pres, a, b)
-    _add_pairing(pres, b, a)
-    return H2Element._trusted(s.genus, _expand(s.genus, pres))
+    a, b = _checked_pair(s, t)
+    return H2Element._trusted(s.genus, _pairings(s.genus, [(1, a, b),
+                                                           (1, b, a)]))
 
 
 def bar_project(comps: Sequence[TruncatedTensor]) -> H2Element:
@@ -422,16 +423,15 @@ def morita_pair(xi: Lambda3, eta: Lambda3) -> H2Element:
     remaining brackets joined symmetrically.  This is the twist the
     path group law adds.
     """
-    if xi.genus != eta.genus:
-        raise ValueError("genus mismatch")
+    if not isinstance(xi, Lambda3):
+        raise TypeError("expected a Lambda3")
+    xi._check(eta)
     g = xi.genus
-    W, V = _wedge_words(xi), _wedge_words(eta)
-    pres: Presentation = {}
-    for i in range(g):
-        for a, b, sign in ((W[i], V[g + i], 1), (W[g + i], V[i], -1)):
-            _add_pairing(pres, a, b, sign)
-            _add_pairing(pres, b, a, sign)
-    return H2Element._trusted(g, _expand(g, pres))
+    W, V = wedge_components(xi), wedge_components(eta)
+    pairs = [(sign, *ab) for i in range(g)
+             for a, b, sign in ((W[i], V[g + i], 1), (W[g + i], V[i], -1))
+             for ab in ((a, b), (b, a))]
+    return H2Element._trusted(g, _pairings(g, pairs))
 
 
 def j1(move: WhiteheadMove) -> Lambda3:

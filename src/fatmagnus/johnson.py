@@ -5,15 +5,15 @@ fixes degree one.  A closed Hausdorff-series formula reads its
 corrections off the source table alone; the vertex relations make the
 tails at the move's corners linear in the ell values and in one star,
 the new edge's value (_move_map).  A path's map (path_ia) is one sum in
-the initial frame: each move adds its corrections read off the initial
-table, changed only on the edges moved so far, and the sum becomes one
-IAMap; no map is applied or composed.  A move is a path of one move, so
-move_ia is path_ia on that path, and tau_move is its graded view, linear
-maps from homology into Lie elements one degree higher.  Every path
-value is a view of path_ia: tau_path grades it, and cocycle.j2_path
-projects its degree-two part.  Two oracles recover a move's pieces: the
-BCH tails of all four corners (sector_contributions) and a solver that
-compares the two expansion tables.
+the initial frame: each move adds its parts read off the initial table,
+changed only on the edges moved so far, and one tensor_values of all the
+parts becomes one IAMap; no map is applied or composed.  A move is a
+path of one move, so move_ia is path_ia on that path, and tau_move is
+its graded view, linear maps from homology into Lie elements one degree
+higher.  Every path value is a view of path_ia: tau_path grades it, and
+cocycle.j2_path projects its degree-two part.  Two oracles recover a
+move's pieces: the BCH tails of all four corners (sector_contributions)
+and a solver that compares the two expansion tables.
 """
 
 from __future__ import annotations
@@ -266,24 +266,26 @@ def sector_contributions(move: WhiteheadMove, m: int
 
 
 def _move_map(move: WhiteheadMove, ell: Mapping[int, TruncatedTensor],
-              head: TruncatedTensor) -> tuple[TruncatedTensor, ...]:
-    """The corrections a move adds, one per letter, read off the ell
-    values of a table of move.source (built, or pulled back to a path's
-    initial graph by _path_steps) and head = -star(ell(d), ell(a)), the
-    value of e_head in the result.  The vertex relations theta(a)theta(b) =
-    theta(e)^-1 = (theta(c)theta(d))^-1 make the corner tails linear:
-    3 I = ell(b) + ell(c) - head, 3 II = ell(e) - ell(c) - ell(d) and
-    3 IV = -(ell(e) + ell(a) + ell(b))."""
-    src = move.source
+              head: TruncatedTensor) -> list[tuple[Sequence, TruncatedTensor]]:
+    """The (vector, series) parts of the corrections a move adds, for
+    tensor_values at 1/3, read off the ell values of a table of
+    move.source (built, or pulled back to a path's initial graph by
+    _path_steps) and head = -star(ell(d), ell(a)), the value of e_head in
+    the result.  The vertex relations theta(a)theta(b) = theta(e)^-1 =
+    (theta(c)theta(d))^-1 make the corner tails linear: 3 I = ell(b) +
+    ell(c) - head, 3 II = ell(e) - ell(c) - ell(d), 3 IV = -(ell(e) +
+    ell(a) + ell(b))."""
     la, lb, lc, ld, le = (ell[x] for x in
                           (move.a, move.b, move.c, move.d, move.e_head))
-    av, bv, cv = (src.h[x] for x in (move.a, move.b, move.c))
     # reconstruction from the corner pieces: a(x)I + b(x)(I+II) - c(x)IV,
     # with the overall orientation pinned against the table-comparison
     # solver (the corner pieces alone leave a global sign free)
-    parts = [(av, lb + lc - head), (bv, lb - ld + le - head),
-             (cv, la + lb + le)]
-    return tensor_values(parts, Fraction(1, 3))
+    series = ([(1, lb), (1, lc), (-1, head)],
+              [(1, lb), (-1, ld), (1, le), (-1, head)],
+              [(1, la), (1, lb), (1, le)])
+    return [(move.source.h[x], TruncatedTensor.combination(
+        head.genus, s, head.max_degree))
+        for x, s in zip((move.a, move.b, move.c), series)]
 
 
 def move_ia(move: WhiteheadMove, m: int) -> IAMap:
@@ -467,17 +469,18 @@ def path_ia(path: MovePath, m: int) -> IAMap:
         Psi_k(x_i) = Psi_{k-1}(x_i) + C_i^(k),  C^(k) = Psi_{k-1}(c),
 
     and C^(k) is the move's formula (_move_map) read off its pulled-back
-    table L (_path_steps).  The C^(k) are summed and wrapped in one IAMap,
+    table L (_path_steps).  tensor_values is linear, so their sum is one
+    tensor_values of the parts of all the moves, wrapped in one IAMap,
     the identity on the empty path; no move's map is built on its own.
     tau_path and cocycle.j2_path are views of this map, and move_ia is it
     on a one-move path.  Raises ValueError on a bad degree or a
     non-geometric initial marking."""
     _check_positive_int("degree", m)
     path.initial.check_geometric()
-    g, n = path.initial.genus(), m + 1
-    steps = [_move_map(*step) for step in _path_steps(path, m)]
-    return IAMap([TruncatedTensor.combination(
-        g, [(1, corr[i]) for corr in steps], n) for i in range(2 * g)])
+    parts = [p for step in _path_steps(path, m) for p in _move_map(*step)]
+    if not parts:
+        return IAMap.identity(path.initial.genus(), m + 1)
+    return IAMap(tensor_values(parts, Fraction(1, 3)))
 
 
 def tau_path(path: MovePath, m: int) -> GradedTau:

@@ -33,15 +33,16 @@ def tensors(draw, genus=1, max_degree=4, min_degree=0, max_terms=4):
 
 @st.composite
 def lie_tensors(draw, genus=1, max_degree=4, max_terms=3):
-    """A random Lie element: a combination of right-bracketed words."""
-    from fatmagnus.algebra import right_bracketing
-
+    """A random Lie element: a combination of right-bracketed words,
+    built by bracket products, so that it holds even if the packed
+    bracket expansion (algebra._dynkin) it is used to test is wrong."""
     t = TruncatedTensor(genus, max_degree)
     for _ in range(draw(st.integers(1, max_terms))):
         d = draw(st.integers(1, max_degree))
         word = tuple(draw(st.lists(
             st.integers(0, 2 * genus - 1), min_size=d, max_size=d)))
-        t = t + right_bracketing(genus, word, max_degree).scaled(draw(coeffs))
+        t = t + reference_right_bracketing(
+            genus, word, max_degree).scaled(draw(coeffs))
     return t
 
 
@@ -115,6 +116,15 @@ def random_symplectic_matrix(genus, rng, transvections=3):
                 for j in range(n)] for i in range(n)]
     assert is_symplectic_matrix(genus, mat)
     return mat
+
+
+def matrix_letter_images(genus, matrix, max_degree):
+    """Images of the letters under a linear map given by rows = letter
+    images, as degree-one tensors."""
+    if len(matrix) != 2 * genus or any(len(r) != 2 * genus for r in matrix):
+        raise ValueError("matrix must be 2g x 2g")
+    return [TruncatedTensor.from_vector(genus, row, max_degree)
+            for row in matrix]
 
 
 def single_sector_vector(mg, edge_id, x):

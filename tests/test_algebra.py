@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatmagnus.algebra import (
@@ -18,7 +18,6 @@ from fatmagnus.algebra import (
     letter_name,
     lie_pretty,
     log_t,
-    matrix_letter_images,
     right_bracketing,
     row_reduce,
     star,
@@ -30,6 +29,7 @@ from helpers import (
     coeffs,
     ia_maps,
     lie_tensors,
+    matrix_letter_images,
     reference_apply_letter_map,
     reference_exp_t,
     reference_ia_apply,
@@ -258,10 +258,12 @@ def test_is_lie_detects():
 
 @st.composite
 def is_lie_inputs(draw):
-    """A genus 1-3, degree 1-6 tensor of one of four kinds: Lie, Lie
-    plus one stray word, random words, or Lie plus a constant term."""
-    g, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["lie", "perturbed", "words", "constant"]))
+    """A genus 1-4, degree 1-7 tensor of one of five kinds: Lie, Lie
+    plus one stray word, random words, Lie plus a constant term, or Lie
+    with the coefficient of one word of degree >= 2 changed."""
+    g, n = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["lie", "perturbed", "words", "constant",
+                                 "changed"]))
     if kind == "words":
         return kind, draw(tensors(g, n, min_degree=1, max_terms=4))
     t = draw(lie_tensors(g, n, max_terms=3))
@@ -269,6 +271,13 @@ def is_lie_inputs(draw):
         t = t + draw(tensors(g, n, min_degree=min(2, n), max_terms=1))
     if kind == "constant":
         t = t + TruncatedTensor.unit(g, n).scaled(draw(coeffs))
+    if kind == "changed":
+        # a Lie element of degree >= 2 has coefficient sum zero, so a
+        # change to one coefficient leaves the Lie algebra
+        words = [w for w, _ in t.terms() if len(w) >= 2]
+        assume(words)
+        w = draw(st.sampled_from(words))
+        t = t + TruncatedTensor.from_terms(g, {w: draw(coeffs)}, n)
     return kind, t
 
 
@@ -280,7 +289,7 @@ def test_is_lie_equals_the_dynkin_product_reference(kind_t):
     assert got == reference_is_lie(t)
     if kind == "lie":
         assert got
-    if kind == "constant":
+    if kind in ("constant", "changed"):
         assert not got
 
 

@@ -306,9 +306,11 @@ def quadratic_lie(draw, genus):
 
 @st.composite
 def wedges(draw, genus):
+    """A wedge of up to three triples, with coefficients that may carry
+    denominators."""
     triples = st.tuples(*[st.integers(0, 2 * genus - 1)] * 3)
     return Lambda3(genus, draw(st.dictionaries(
-        triples, st.integers(-3, 3), max_size=3)))
+        triples, st.fractions(-3, 3, max_denominator=4), max_size=3)))
 
 
 def at_genus_1_to_3(strategy, count):
@@ -342,6 +344,17 @@ def test_bar_projection_equals_the_bracket_product_reference(comps):
 def test_wedge_pairing_equals_the_nine_term_reference(pair):
     xi, eta = pair
     assert morita_pair(xi, eta) == reference_morita_pair(xi, eta)
+
+
+def test_wedge_pairing_rejects_what_wedge_arithmetic_rejects():
+    xi = Lambda3(2, {(0, 1, 2): 1})
+    with pytest.raises(TypeError, match="expected a Lambda3"):
+        xi + 5
+    for args in ((xi, 5), (5, xi), (xi, H2Element.zero(2))):
+        with pytest.raises(TypeError, match="expected a Lambda3"):
+            morita_pair(*args)
+    with pytest.raises(ValueError, match="genus mismatch"):
+        morita_pair(xi, Lambda3(3))
 
 
 def genus_3_walk_wedges(per_seed=6):

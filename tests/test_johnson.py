@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     coeffs,
     lie_tensors,
+    matrix_letter_images,
     random_symplectic_matrix,
     random_walk,
     reference_bracket_map,
@@ -37,7 +38,6 @@ from fatmagnus.algebra import (
     apply_letter_map,
     dot,
     hausdorff_tail,
-    matrix_letter_images,
     star,
     symplectic_form,
 )
@@ -608,7 +608,7 @@ def test_path_maps_equal_the_move_maps_of_built_tables():
 
 
 @pytest.mark.parametrize("g,steps,m", [(1, 6, 4), (2, 12, 3), (3, 4, 3),
-                                       (4, 3, 2)])
+                                       (4, 3, 2), (4, 10, 5)])
 def test_path_map_is_the_fold_of_built_move_maps(g, steps, m):
     path = random_walk(symplectic_graph(g), steps, random.Random(40 + g))
     fresh = apply_path(symplectic_graph(g), path.edge_ids)

@@ -16,6 +16,7 @@ from helpers import (
     ReferenceMagnusTable,
     ell_word,
     figure_eight,
+    matrix_letter_images,
     random_walk,
     reference_lie_pretty,
     table_R,
@@ -27,7 +28,6 @@ from fatmagnus.algebra import (
     is_lie,
     is_symplectic_matrix,
     lie_pretty,
-    matrix_letter_images,
     right_bracketing,
     symplectic_form,
 )
