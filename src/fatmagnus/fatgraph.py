@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -93,6 +94,11 @@ class Fatgraph:
     say next(a0) = a1, and then succ(a1) = next(a0) = a1 closes a
     second boundary cycle.  And the genus is at least 1: a tree would
     need a second univalent vertex.
+
+    A graph is a value: nothing changes it once it is built.  That is why
+    a Whitehead move's graph may share its source's structure (_moved)
+    and every copy of a canonical graph the same Fatgraph
+    (symplectic_graph).
     """
 
     def __init__(self, vertices: Iterable[Sequence[int]],
@@ -154,19 +160,22 @@ class Fatgraph:
     @classmethod
     def _moved(cls, src: "Fatgraph", old_vertices: tuple[int, int],
                new_vertices: Sequence[tuple[int, int, int]]) -> "Fatgraph":
-        """src with two vertices replaced, unchecked: only for whitehead,
-        whose new vertices hold the same half-edges.  It shares src's
-        edges and pairing, and re-traces the boundary."""
+        """src with two vertices replaced in place, unchecked: only for
+        whitehead, whose new vertices hold the same half-edges.  Each new
+        vertex takes the index of the old vertex in the same position, so
+        every other vertex keeps its index.  It shares src's edges and
+        pairing, patches next_ and vertex_of at the six moved half-edges,
+        and re-traces the boundary."""
         G = object.__new__(cls)
-        G.vertices = [v for i, v in enumerate(src.vertices)
-                      if i not in old_vertices] + list(new_vertices)
+        G.vertices = list(src.vertices)
         G.edges, G.tail, G.half_edges = src.edges, src.tail, src.half_edges
         G.pair_, G.edge_of = src.pair_, src.edge_of
-        G.next_ = dict(src.next_)
-        for v in new_vertices:
+        G.next_, G.vertex_of = dict(src.next_), dict(src.vertex_of)
+        for vi, v in zip(old_vertices, new_vertices):
+            G.vertices[vi] = v
             for j, h in enumerate(v):
                 G.next_[h] = v[(j + 1) % 3]
-        G.vertex_of = {h: vi for vi, v in enumerate(G.vertices) for h in v}
+                G.vertex_of[h] = vi
         G._cycle = G._trace_boundary()
         G._pos = {h: i for i, h in enumerate(G._cycle)}
         G._genus = src._genus
@@ -216,17 +225,6 @@ class Fatgraph:
         if rbr < rar < rb:
             return 1
         return 0
-
-    def edge_path_to_reverse(self, x: int) -> Optional[list[int]]:
-        """The boundary arc x ... reverse(x) avoiding the tail, or None.
-
-        The tail's own path is the whole boundary cycle; exactly one of
-        x, reverse(x) has a path for every other edge.
-        """
-        p, q = self._pos[x], self._pos[self.pair_[x]]
-        if p > q:
-            return None
-        return self._cycle[p:q + 1]
 
     def chord_key(self) -> tuple[int, ...]:
         """The canonical form: pos(reverse(h)) for h in boundary order.
@@ -296,9 +294,11 @@ class MarkedFatgraph:
     pi, when given, maps every half-edge to a reduced free-group word.
     Both are read-only properties over read-only views, since the tables
     and is_geometric are read off them once.  The public constructor
-    validates eagerly and raises ValueError with a diagnostic.  The
-    results of whitehead skip that check: each is valid by construction
-    from its already-validated source (see whitehead).
+    validates eagerly and raises ValueError with a diagnostic.  Two kinds
+    of marked graph skip that check.  The results of whitehead are valid
+    by construction from their already-validated source (see whitehead).
+    The copies that symplectic_graph hands out are valid because each
+    copies a template that the public constructor checked.
     edge_names maps construction names to edge ids where a constructor
     gives them; magnus_tables holds the expansion tables built for this
     graph, by degree (see magnus.get_table).  is_geometric is set by the
@@ -325,10 +325,13 @@ class MarkedFatgraph:
     def _trusted(cls, graph: Fatgraph, h: dict[int, HVec],
                  pi: Optional[dict[int, Word]],
                  geometric: Optional[bool]) -> "MarkedFatgraph":
-        """Wrap fresh markings without validation or re-normalization.
+        """Wrap markings without validation or re-normalization.
 
         Only for whitehead, whose h and pi are built by the move formula
-        from a validated source, with every entry already normalized.
+        from a validated source, with every entry already normalized, and
+        for symplectic_graph, whose copies share the markings of a
+        template that the public constructor checked.  Nothing writes to
+        the dicts it wraps, so copies may share them.
         """
         mg = object.__new__(cls)
         mg.graph = graph
@@ -499,8 +502,10 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     is kept.  The word of f solves the vertex rule at (f, a, d), the
     source's relation on the words of a, b, c, d closes the other
     vertex, and f's word abelianizes to f's vector.  Copied entries are
-    already normalized; only f's two vectors are normalized anew, since
-    a sum of Fractions can be an int.
+    already normalized, and so is f's vector when a and d are marked by
+    ints; where a Fraction enters it is normalized anew, since a sum of
+    Fractions can be an int.  The two new vertices take the indices of
+    the two old ones.
     """
     G = mg.graph
     if type(edge_id) is not int:
@@ -521,11 +526,12 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
 
     graph2 = Fatgraph._moved(G, (v1, v2), ((e1, a, d), (e0, c, b)))
 
-    g = G.genus()
     h2 = dict(mg.h)
-    f_vec = _as_hvec([-(x + y) for x, y in zip(mg.h[a], mg.h[d])], g, e1)
+    f_vec = tuple(-(x + y) for x, y in zip(mg.h[a], mg.h[d]))
+    if any(type(x) is not int for x in f_vec):
+        f_vec = _as_hvec(f_vec, G.genus(), e1)
     h2[e1] = f_vec
-    h2[e0] = _as_hvec([-x for x in f_vec], g, e0)
+    h2[e0] = tuple(-x for x in f_vec)
     pi2 = None
     if mg.pi is not None:
         pi2 = dict(mg.pi)
@@ -688,15 +694,29 @@ def _solve_markings(graph: Fatgraph, names: Mapping[str, int],
     return pi
 
 
-def symplectic_graph(g: int) -> MarkedFatgraph:
-    """The canonical marked genus-g fatgraph: a chain of handle blocks with
-    the tail at the left end, marked by the standard symplectic generators."""
-    _check_positive_int("genus", g)
+@cache
+def _canonical(g: int) -> tuple[Fatgraph, dict[int, HVec], dict[int, Word],
+                                 dict[str, int]]:
+    """The genus-g template that symplectic_graph copies, built once per
+    genus: (graph, h, pi, edge names), with the markings checked once by
+    the public constructor and kept as the plain dicts it validated."""
     graph, names = _build_chain(g)
     pi = _solve_markings(graph, names, g)
     h = {half: w_abelianize(word, 2 * g) for half, word in pi.items()}
     mg = MarkedFatgraph(graph, h, pi)
-    mg.edge_names = names
-    mg._geometric = True
-    return mg
+    return graph, dict(mg.h), dict(mg.pi), names
 
+
+def symplectic_graph(g: int) -> MarkedFatgraph:
+    """The canonical marked genus-g fatgraph: a chain of handle blocks with
+    the tail at the left end, marked by the standard symplectic generators.
+
+    Each call is a fresh marked graph, with its own edge_names and its own
+    empty table cache, so no two walks from it share a table.  The copies
+    share one validated template per genus (see MarkedFatgraph._trusted).
+    """
+    _check_positive_int("genus", g)
+    graph, h, pi, names = _canonical(g)
+    mg = MarkedFatgraph._trusted(graph, h, pi, True)
+    mg.edge_names = dict(names)
+    return mg

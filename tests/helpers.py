@@ -625,6 +625,20 @@ def reference_rooted_isomorphism(g1, g2):
     return iso
 
 
+def edge_path_to_reverse(G, x):
+    """The boundary arc x ... reverse(x) avoiding the tail, or None: the
+    arc a table sums for x, read off the chord key.
+
+    The tail's own path is the whole boundary cycle; exactly one of
+    x, reverse(x) has a path for every other edge.
+    """
+    cycle, key = G.boundary_cycle(), G.chord_key()
+    p = cycle.index(x)
+    if p > key[p]:
+        return None
+    return cycle[p:key[p] + 1]
+
+
 def _lyndon_words(nletters, maxlen):
     # Duval's algorithm
     out = []

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    edge_path_to_reverse,
     figure_eight,
     random_symplectic_matrix,
     random_walk,
     reference_rooted_isomorphism,
 )
-from fatmagnus.magnus import MagnusTable
+from fatmagnus.magnus import MagnusTable, get_table
 from fatmagnus.fatgraph import (
     Fatgraph,
     MarkedFatgraph,
@@ -194,13 +195,13 @@ def test_boundary_cycle_visits_every_oriented_edge_once(g):
 @pytest.mark.parametrize("g", [1, 2])
 def test_edge_paths_partition_orientations(g):
     G = symplectic_graph(g).graph
-    assert G.edge_path_to_reverse(G.tail) == G.boundary_cycle()
-    assert G.edge_path_to_reverse(G.pair_[G.tail]) is None
+    assert edge_path_to_reverse(G, G.tail) == G.boundary_cycle()
+    assert edge_path_to_reverse(G, G.pair_[G.tail]) is None
     for h in G.half_edges:
         if G.edge_of[h] == G.edge_of[G.tail]:
             continue
-        path = G.edge_path_to_reverse(h)
-        rev = G.edge_path_to_reverse(G.pair_[h])
+        path = edge_path_to_reverse(G, h)
+        rev = edge_path_to_reverse(G, G.pair_[h])
         # exactly one orientation of every other edge carries a path,
         # and that path stays clear of the tail
         assert (path is None) != (rev is None)
@@ -509,6 +510,30 @@ def assert_equals_full_construction(mg):
     assert mg._geometric == full.is_geometric()
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_canonical_graphs_are_distinct_valid_copies(g):
+    # symplectic_graph copies one validated template per genus; each call
+    # must be its own marked graph with its own names and table cache
+    first, second = symplectic_graph(g), symplectic_graph(g)
+    assert first is not second
+    assert first.magnus_tables == {} and second.magnus_tables == {}
+    assert first.magnus_tables is not second.magnus_tables
+    assert first.h == second.h and first.pi == second.pi
+    assert first.graph.chord_key() == second.graph.chord_key()
+    assert first.edge_names == second.edge_names
+    assert first.edge_names is not second.edge_names
+    for mg in (first, second):
+        assert_equals_full_construction(mg)
+    names = dict(first.edge_names)
+    first.edge_names["t"] = -1
+    del first.edge_names["u1"]
+    assert symplectic_graph(g).edge_names == names == second.edge_names
+    get_table(first, 2)
+    assert list(first.magnus_tables) == [2]
+    assert second.magnus_tables == {}
+    assert symplectic_graph(g).magnus_tables == {}
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_whitehead_results_are_valid_by_construction(g):
     # whitehead trusts its results; each must still pass the full check
@@ -519,7 +544,7 @@ def test_whitehead_results_are_valid_by_construction(g):
             assert_equals_full_construction(mv.result)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_whitehead_graphs_equal_the_checked_construction(g):
     # whitehead builds its graph unchecked, sharing the source's pairing;
     # it must equal what the public constructor builds from its vertices
@@ -531,6 +556,14 @@ def test_whitehead_graphs_equal_the_checked_construction(g):
         for name in ("edges", "pair_", "edge_of", "half_edges"):
             assert getattr(G, name) is getattr(src, name)
         assert G.next_ is not src.next_ and G.vertex_of is not src.vertex_of
+        # the two new vertices take the indices of the two old ones, and
+        # every other vertex keeps its own
+        e1, e0 = mv.e_head, src.pair_[mv.e_head]
+        moved = {src.vertex_of[e1]: (e1, mv.a, mv.d),
+                 src.vertex_of[e0]: (e0, mv.c, mv.b)}
+        assert G.vertices is not src.vertices
+        assert G.vertices == [moved.get(i, v)
+                              for i, v in enumerate(src.vertices)]
 
 
 def test_whitehead_results_normalize_fraction_markings():

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     ReferenceMagnusTable,
+    edge_path_to_reverse,
     ell_word,
     figure_eight,
     matrix_letter_images,
@@ -159,7 +160,7 @@ def test_degree_two_is_the_boundary_bracket_sum():
     G = mg.graph
     tab = get_table(mg, N)
     for x in G.half_edges:
-        path = G.edge_path_to_reverse(x)
+        path = edge_path_to_reverse(G, x)
         if path is None:
             continue
         f = [TruncatedTensor.from_vector(2, mg.h[p], N) for p in path]
