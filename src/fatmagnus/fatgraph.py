@@ -96,9 +96,9 @@ class Fatgraph:
     need a second univalent vertex.
 
     A graph is a value: nothing changes it once it is built.  That is why
-    a Whitehead move's graph may share its source's structure (_moved)
-    and every copy of a canonical graph the same Fatgraph
-    (symplectic_graph).
+    a Whitehead move's graph may share its source's structure (_moved),
+    and why the copies of a genus's canonical graph may all share one
+    Fatgraph (symplectic_graph).
     """
 
     def __init__(self, vertices: Iterable[Sequence[int]],
