@@ -84,9 +84,9 @@ def boundary_word(genus: int) -> Word:
 class Fatgraph:
     """Trivalent once-bordered fatgraph with a tail.
 
-    vertices: cyclic tuples of half-edge ids; edges: map edge id -> (half,
-    half), where the canonical orientation of an edge points at its second
-    half; tail: the half at the univalent vertex.
+    vertices: a tuple of cyclic tuples of half-edge ids; edges: map edge
+    id -> (half, half), where the canonical orientation of an edge points
+    at its second half; tail: the half at the univalent vertex.
 
     The constructor admits valence exactly 1 at the tail's vertex and
     exactly 3 at every other vertex.  So no edge is a loop: a loop
@@ -103,7 +103,7 @@ class Fatgraph:
 
     def __init__(self, vertices: Iterable[Sequence[int]],
                  edges: Mapping[int, tuple[int, int]], tail: int):
-        self.vertices = [tuple(v) for v in vertices]
+        self.vertices = tuple(tuple(v) for v in vertices)
         self.edges = {int(e): (int(a), int(b)) for e, (a, b) in edges.items()}
         self.tail = tail
 
@@ -115,7 +115,7 @@ class Fatgraph:
                 if h in seen:
                     raise ValueError(f"half-edge {h} listed twice")
                 seen.add(h)
-        self.half_edges = seen
+        self.half_edges = frozenset(seen)
 
         self.pair_: dict[int, int] = {}
         self.edge_of: dict[int, int] = {}
@@ -167,15 +167,16 @@ class Fatgraph:
         pairing, patches next_ and vertex_of at the six moved half-edges,
         and re-traces the boundary."""
         G = object.__new__(cls)
-        G.vertices = list(src.vertices)
+        vertices = list(src.vertices)
         G.edges, G.tail, G.half_edges = src.edges, src.tail, src.half_edges
         G.pair_, G.edge_of = src.pair_, src.edge_of
         G.next_, G.vertex_of = dict(src.next_), dict(src.vertex_of)
         for vi, v in zip(old_vertices, new_vertices):
-            G.vertices[vi] = v
+            vertices[vi] = v
             for j, h in enumerate(v):
                 G.next_[h] = v[(j + 1) % 3]
                 G.vertex_of[h] = vi
+        G.vertices = tuple(vertices)
         G._cycle = G._trace_boundary()
         G._pos = {h: i for i, h in enumerate(G._cycle)}
         G._genus = src._genus
@@ -502,10 +503,9 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     is kept.  The word of f solves the vertex rule at (f, a, d), the
     source's relation on the words of a, b, c, d closes the other
     vertex, and f's word abelianizes to f's vector.  Copied entries are
-    already normalized, and so is f's vector when a and d are marked by
-    ints; where a Fraction enters it is normalized anew, since a sum of
-    Fractions can be an int.  The two new vertices take the indices of
-    the two old ones.
+    already normalized; f's vector is normalized anew, since a sum of
+    Fractions can be an int, and its negation stays normalized.  The two
+    new vertices take the indices of the two old ones.
     """
     G = mg.graph
     if type(edge_id) is not int:
@@ -527,10 +527,8 @@ def whitehead(mg: MarkedFatgraph, edge_id: int) -> WhiteheadMove:
     graph2 = Fatgraph._moved(G, (v1, v2), ((e1, a, d), (e0, c, b)))
 
     h2 = dict(mg.h)
-    f_vec = tuple(-(x + y) for x, y in zip(mg.h[a], mg.h[d]))
-    if any(type(x) is not int for x in f_vec):
-        f_vec = _as_hvec(f_vec, G.genus(), e1)
-    h2[e1] = f_vec
+    h2[e1] = f_vec = _as_hvec([-(x + y) for x, y in zip(mg.h[a], mg.h[d])],
+                              G.genus(), e1)
     h2[e0] = tuple(-x for x in f_vec)
     pi2 = None
     if mg.pi is not None:
@@ -713,7 +711,9 @@ def symplectic_graph(g: int) -> MarkedFatgraph:
 
     Each call is a fresh marked graph, with its own edge_names and its own
     empty table cache, so no two walks from it share a table.  The copies
-    share one validated template per genus (see MarkedFatgraph._trusted).
+    share one validated template per genus (see MarkedFatgraph._trusted):
+    mg.graph is the same Fatgraph in every copy in the process, so its
+    dicts must not be edited.
     """
     _check_positive_int("genus", g)
     graph, h, pi, names = _canonical(g)

@@ -524,6 +524,11 @@ def test_canonical_graphs_are_distinct_valid_copies(g):
     assert first.edge_names is not second.edge_names
     for mg in (first, second):
         assert_equals_full_construction(mg)
+    # the copies share one graph, whose vertices and half-edge set
+    # cannot be edited in place
+    assert first.graph is second.graph
+    assert type(first.graph.vertices) is tuple
+    assert type(first.graph.half_edges) is frozenset
     names = dict(first.edge_names)
     first.edge_names["t"] = -1
     del first.edge_names["u1"]
@@ -562,8 +567,8 @@ def test_whitehead_graphs_equal_the_checked_construction(g):
         moved = {src.vertex_of[e1]: (e1, mv.a, mv.d),
                  src.vertex_of[e0]: (e0, mv.c, mv.b)}
         assert G.vertices is not src.vertices
-        assert G.vertices == [moved.get(i, v)
-                              for i, v in enumerate(src.vertices)]
+        assert G.vertices == tuple(moved.get(i, v)
+                                   for i, v in enumerate(src.vertices))
 
 
 def test_whitehead_results_normalize_fraction_markings():
